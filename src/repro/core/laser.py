@@ -45,7 +45,6 @@ from repro.core.services import (
     TelemetryService,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, HostProfiler
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.trace import NULL_TRACER, EventTracer
@@ -87,8 +86,8 @@ class LaserRunResult:
         self.machine = machine
         self.health = health or RunHealth()
         #: Per-run observability bundle (``repro.obs``): the windowed
-        #: metrics time series, the registry snapshots, and the event
-        #: tracer (NULL_TRACER unless ``config.trace_enabled``).
+        #: time series and the event tracer (NULL_TRACER unless
+        #: ``config.trace_enabled``).
         self.telemetry = telemetry or RunTelemetry()
         #: Crash-recovery bundle (``repro.resilience``), or ``None``
         #: when ``config.resilience_enabled`` is off.
@@ -182,7 +181,7 @@ class Laser:
             EventTracer(capacity=config.trace_capacity)
             if config.trace_enabled else NULL_TRACER
         )
-        telemetry = RunTelemetry(tracer=tracer, metrics=MetricsRegistry())
+        telemetry = RunTelemetry(tracer=tracer)
         # Host-time profiling follows the same discipline: one shared
         # profiler (or the NULL_PROFILER), reading only the host clock,
         # so simulated outputs are bit-identical on or off.

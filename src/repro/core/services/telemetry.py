@@ -1,10 +1,10 @@
 """Windowed run telemetry, as a service.
 
 Closes one :class:`~repro.obs.telemetry.WindowStats` window per check
-interval — deltas against a high-water-mark marker — and feeds the
-metrics registry whose snapshot rides along with each window.  At exit
-it closes one catch-up window when the final drain added progress
-beyond the last recorded window (stalled finishes, exit backlogs).
+interval — deltas against a high-water-mark marker — onto the run's
+``telemetry.windows``.  At exit it closes one catch-up window when the
+final drain added progress beyond the last recorded window (stalled
+finishes, exit backlogs).
 
 The marker is a *high-water mark*: a detector restore can legitimately
 regress pipeline totals (cold start from a compacted journal after
@@ -70,11 +70,7 @@ class TelemetryService(Service):
 
     def _record_window(self, ctx, stalled: bool, repair_state: str,
                        extra_buffers=()) -> None:
-        """Close one telemetry window: deltas since the marker.
-
-        Also updates the metrics registry, whose snapshot rides along
-        with the window (``telemetry.snapshots``).
-        """
+        """Close one telemetry window: deltas since the marker."""
         marker = self._marker
         telemetry, machine = ctx.telemetry, ctx.machine
         pipeline, driver = ctx.pipeline, ctx.driver

@@ -5,13 +5,12 @@ excluding the slowest and fastest runs".  We keep the same *averaging
 discipline* (trimmed mean: drop min and max) but default to 5 seeds
 rather than 10 runs — see ``DEFAULT_RUNS`` for the rationale.  Every
 experiment entry point (``run_overhead``, ``run_speedups``,
-``run_sav_sweep``, the bench writer) accepts ``runs`` and threads it
-through to these helpers, so a config that wants the paper's full 10
-can ask for it.
+``run_sav_sweep``) accepts ``runs`` and threads it through to these
+helpers, so a config that wants the paper's full 10 can ask for it.
 
 :class:`SweepRunner` is the single fan-out path for every multi-run
-experiment: the chaos soak, the threshold sweep and the bench writer
-all shard their (workload, seed, …) cells over one
+experiment: the chaos soak, the threshold sweep and the control
+frontier all shard their (workload, seed, …) cells over one
 ``ProcessPoolExecutor`` instead of hand-rolling three bespoke serial
 loops.  Cells are independent and seed-deterministic, and the merge
 preserves submission order, so results are byte-identical at any

@@ -1,4 +1,4 @@
-"""Unified run observability: event tracing, windowed metrics, bench.
+"""Unified run observability: event tracing, windowed telemetry, profiling.
 
 LASER's whole argument is deployability — an *online* monitor whose
 overhead and decisions must be legible to operators.  This package is
@@ -10,11 +10,8 @@ the measurement layer that makes a run legible:
   attribute load and a branch per site), seed-deterministic when
   enabled, exportable as JSONL and as Chrome ``trace_event`` JSON so a
   run opens directly in Perfetto.
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry
-  snapshotted at every detector check interval.
-* :mod:`repro.obs.telemetry` — the per-run bundle: the tracer, the
-  metrics registry and the per-window time series exposed on
-  ``LaserRunResult.telemetry``.
+* :mod:`repro.obs.telemetry` — the per-run bundle: the tracer and the
+  per-window time series exposed on ``LaserRunResult.telemetry``.
 * :mod:`repro.obs.profile` — the host-time profiler: scheduler/service
   lifecycle hooks attributing host wall-clock to each of the six
   services plus the sim core and PEBS drain, rendered as an ASCII
@@ -23,14 +20,6 @@ the measurement layer that makes a run legible:
   trace events into flow trees (records → window → threshold → repair
   lifecycle) exported as Chrome trace_event flow arrows
   (``python -m repro.obs spans``).
-* :mod:`repro.obs.bench` — the perf snapshot writer behind
-  ``BENCH_obs.json`` (native vs. LASER-on overhead — simulated-cycle
-  ratios primary, wall clock informational — across the workload
-  suite).
-* :mod:`repro.obs.bench_core` — the speed scoreboard behind
-  ``BENCH_core.json``: simulator cycles/sec, records/sec through the
-  detection path and per-service self-time shares, the baseline every
-  perf PR is measured against.
 * ``python -m repro.obs`` — runs any registered workload and prints a
   phase timeline plus a per-component cycle breakdown (a per-run
   Figure 12).
@@ -38,11 +27,8 @@ the measurement layer that makes a run legible:
 
 # NOTE: this package is imported by the components it instruments
 # (sim.machine, pebs, detect, repair), so the package init must stay
-# dependency-light: trace/metrics/telemetry/profile only.  The bench
-# writers pull in workloads + experiments; import them explicitly as
-# ``repro.obs.bench`` / ``repro.obs.bench_core`` (the CLI and CI do);
-# ``repro.obs.spans`` is pure but imported explicitly for symmetry.
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+# dependency-light: trace/telemetry/profile only.  ``repro.obs.spans``
+# is imported explicitly where it is used.
 from repro.obs.profile import NULL_PROFILER, HostProfiler, render_profile
 from repro.obs.telemetry import RunTelemetry, WindowStats
 from repro.obs.trace import NULL_TRACER, EventTracer, TraceEvent
@@ -51,10 +37,6 @@ __all__ = [
     "TraceEvent",
     "EventTracer",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "WindowStats",
     "RunTelemetry",
     "HostProfiler",

@@ -129,8 +129,8 @@ def smoke() -> int:
     failures = []
     if first.telemetry.tracer.to_jsonl() != second.telemetry.tracer.to_jsonl():
         failures.append("trace JSONL not deterministic across identical runs")
-    if first.telemetry.snapshots_jsonl() != second.telemetry.snapshots_jsonl():
-        failures.append("metrics snapshots not deterministic")
+    if first.telemetry.windows_jsonl() != second.telemetry.windows_jsonl():
+        failures.append("windows JSONL not deterministic across identical runs")
     if not first.telemetry.windows:
         failures.append("no detection windows recorded")
     doc = first.telemetry.to_chrome_trace()

@@ -1,7 +1,7 @@
 """Host-time profiler: where the *wall clock* goes during a run.
 
-The simulator's own accounting (Figure 12, ``BENCH_obs.json``) is in
-*simulated* cycles — it can say the kernel driver cost the monitored
+The simulator's own accounting (Figure 12, ``experiments.overhead``) is
+in *simulated* cycles — it can say the kernel driver cost the monitored
 application 2%, but it cannot say which Python code burned the host's
 time producing that answer.  That blind spot is exactly what a
 vectorization PR needs lit: before making the hot path 10x faster, one
@@ -28,7 +28,7 @@ sum to 100% of profiled wall time with no double counting.
 
 Rendering: :func:`render_profile` is an ASCII flame-style table
 (indentation is call-tree depth); :meth:`HostProfiler.as_dict` is the
-machine-readable export the ``BENCH_core.json`` scoreboard embeds.
+machine-readable export behind ``python -m repro.obs profile --json``.
 """
 
 import time
@@ -42,8 +42,7 @@ PROFILE_SCHEMA = "laser-host-profile/v1"
 #: Canonical leaf labels of the run kernel's profiled categories, in
 #: scheduler slice order (the six services) plus the two hot sinks
 #: outside the service fan-outs.  ``aggregate_shares`` reports these
-#: even when zero, so downstream consumers (BENCH_core) see a stable
-#: key set.
+#: even when zero, so the JSON export has a stable key set.
 KERNEL_CATEGORIES = (
     "sim.core",
     "pebs.drain",
@@ -144,26 +143,14 @@ class HostProfiler:
     def calls(self, path: Tuple[str, ...]) -> int:
         return self._calls.get(path, 0)
 
-    def leaf_self_ns(self, label: str) -> int:
-        """Merged self time across every path ending in ``label``.
-
-        The same leaf runs under several parents (``pebs.drain`` nests
-        under both the poll and exit slices); this is the per-category
-        total BENCH_core's detection-path throughput divides by.
-        """
-        return sum(
-            ns for path, ns in self._self_ns.items() if path[-1] == label
-        )
-
     def aggregate_shares(self) -> Dict[str, float]:
         """Self-time share per *leaf label*, merged across paths.
 
         The same service runs in several slices (poll/check/exit) and
         the PEBS drain nests under two different services; this view
         collapses those paths onto their leaf label — the per-service
-        breakdown the BENCH_core scoreboard commits.  Every kernel
-        category is present (zero when never entered) so the key set is
-        stable across workloads.
+        breakdown.  Every kernel category is present (zero when never
+        entered) so the key set is stable across workloads.
         """
         total = self.total_ns
         merged: Dict[str, int] = {label: 0 for label in KERNEL_CATEGORIES}
@@ -173,22 +160,13 @@ class HostProfiler:
             return {label: 0.0 for label in merged}
         return {label: ns / total for label, ns in merged.items()}
 
-    def merge(self, other: "HostProfiler") -> None:
-        """Fold another profiler's totals into this one (multi-run
-        aggregation for the scoreboard)."""
-        for path, ns in other._self_ns.items():
-            self._self_ns[path] = self._self_ns.get(path, 0) + ns
-        for path, calls in other._calls.items():
-            self._calls[path] = self._calls.get(path, 0) + calls
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
     def as_dict(self) -> Dict:
         """Machine-readable breakdown (host-dependent; never committed
-        as an equality-checked artifact — only rendered or embedded in
-        rate scoreboards)."""
+        as an equality-checked artifact)."""
         total = self.total_ns
         rows = []
         for path in self.paths():

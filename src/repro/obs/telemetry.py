@@ -1,15 +1,13 @@
 """The per-run telemetry bundle exposed on ``LaserRunResult.telemetry``.
 
-Three views of one run:
+Two views of one run:
 
 * ``windows`` — a typed time series: one :class:`WindowStats` per
   detector check interval, carrying the window's HITM rate, record
   flow, component cycle shares and repair state.  This is the
   time-dimension the ad-hoc end-of-run counters never had: *when* the
   detector triggered repair, how the HITM rate evolved, where cycles
-  went.
-* ``snapshots`` — the raw metrics-registry snapshot taken at each
-  window close (generic, name-keyed; survives schema drift).
+  went.  ``totals()`` sums the additive fields over the run.
 * ``tracer`` — the structured event stream (see :mod:`repro.obs.trace`).
 
 ``render_timeline`` is the operator view: an ASCII phase timeline used
@@ -20,7 +18,6 @@ import json
 from typing import Dict, List, Optional
 
 from repro._constants import CYCLES_PER_SECOND
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, EventTracer
 
 __all__ = ["WindowStats", "RunTelemetry"]
@@ -118,14 +115,6 @@ _STATE_GLYPHS = {
     "rolled_back": "X",
 }
 
-#: Overload-ladder rung per mode (numeric view for the metrics gauge).
-_CONTROL_MODE_INDEX = {
-    "nominal": 0,
-    "throttled": 1,
-    "shedding": 2,
-    "passthrough": 3,
-}
-
 #: Glyphs for the timeline's control-mode column.
 _CONTROL_GLYPHS = {
     "nominal": "-",
@@ -136,65 +125,19 @@ _CONTROL_GLYPHS = {
 
 
 class RunTelemetry:
-    """Tracer + metrics registry + windowed time series for one run."""
+    """Tracer + windowed time series for one run."""
 
-    def __init__(self, tracer: Optional[EventTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, tracer: Optional[EventTracer] = None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.windows: List[WindowStats] = []
-        self.snapshots: List[Dict] = []
 
     # ------------------------------------------------------------------
     # Recording (called by the LASER loop at each check interval)
     # ------------------------------------------------------------------
 
-    def record_window(self, window: WindowStats) -> None:
-        """Append one closed window and snapshot the registry."""
-        self.windows.append(window)
-        snapshot = {"cycle": window.end_cycle}
-        snapshot.update(self.metrics.snapshot())
-        self.snapshots.append(snapshot)
-
     def close_window(self, window: WindowStats) -> None:
-        """Fold one closed window into the metrics registry and record it.
-
-        The registry update order is part of the snapshot byte stream
-        (snapshots serialize name-keyed but first-registration order
-        shapes histograms/gauges creation), so it lives here, next to
-        the snapshot it feeds.
-        """
-        metrics = self.metrics
-        metrics.counter("hitm.events").inc(window.hitm_events)
-        metrics.counter("records.seen").inc(window.records_seen)
-        metrics.counter("records.admitted").inc(window.records_admitted)
-        metrics.counter("records.dropped").inc(window.records_dropped)
-        metrics.counter("detector.cycles").inc(window.detector_cycles)
-        metrics.counter("driver.cycles").inc(window.driver_cycles)
-        metrics.counter("ssb.flushes").inc(window.ssb_flushes)
-        metrics.counter("ssb.htm_aborts").inc(window.ssb_htm_aborts)
-        metrics.counter("detector.stalled_windows").inc(
-            1 if window.stalled else 0
-        )
-        metrics.gauge("window.hitm_rate").set(round(window.hitm_rate, 6))
-        metrics.gauge("repair.attached").set(
-            1 if window.repair_state == "attached" else 0
-        )
-        metrics.histogram("window.hitm_rate_hist").observe(
-            round(window.hitm_rate, 6)
-        )
-        if window.control_mode is not None:
-            # Controller-on runs grow the registry; registration order
-            # matters for snapshot bytes, so the block is appended
-            # after every legacy metric and is all-or-nothing.
-            metrics.counter("records.offered").inc(window.records_offered)
-            metrics.counter("records.shed").inc(window.records_shed)
-            metrics.gauge("control.sav").set(window.sav)
-            metrics.gauge("control.mode").set(
-                _CONTROL_MODE_INDEX.get(window.control_mode, -1)
-            )
-            metrics.gauge("window.drop_rate").set(round(window.drop_rate, 6))
-        self.record_window(window)
+        """Append one closed window."""
+        self.windows.append(window)
 
     # ------------------------------------------------------------------
     # Querying
@@ -217,7 +160,8 @@ class RunTelemetry:
         """Whole-run sums of the additive window fields."""
         additive = ("hitm_events", "records_seen", "records_admitted",
                     "records_dropped", "detector_cycles", "driver_cycles",
-                    "ssb_flushes", "ssb_htm_aborts")
+                    "ssb_flushes", "ssb_htm_aborts", "records_offered",
+                    "records_shed")
         return {name: sum(self.series(name)) for name in additive}
 
     def windows_jsonl(self) -> str:
@@ -226,13 +170,6 @@ class RunTelemetry:
             json.dumps(w.as_dict(), sort_keys=True, separators=(",", ":"))
             + "\n"
             for w in self.windows
-        )
-
-    def snapshots_jsonl(self) -> str:
-        """Canonical metrics-snapshot serialization (byte-stable)."""
-        return "".join(
-            MetricsRegistry.snapshot_json(snap) + "\n"
-            for snap in self.snapshots
         )
 
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ The legacy interpreter (`Core.step` driven by `Machine._run_slice`) pays
 full Python dispatch per instruction: an enum compare chain, operand
 ``value_of`` calls, a dict lookup for ALU lambdas, and a ``randrange``
 call for interleave jitter.  At ~4 µs/instruction that made ``sim.core``
-95–99% of host self-time on every workload (BENCH_core.json).
+95–99% of host self-time on every workload (``python -m repro.obs
+profile``).
 
 This module compiles each *entry index* of a core's instruction stream
 into a straight-line Python function covering the extended basic block

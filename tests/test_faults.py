@@ -15,6 +15,9 @@ Three layers of coverage:
 
 The golden tests pin the other invariant: an *empty* fault plan is
 observationally free — byte-identical results to the seed behavior.
+Their table also pins the seed-0 native and LASER-on cycles of the
+seven-workload overhead slice (Figure 10), so any simulated-cycle move
+there is caught exactly.
 """
 
 import inspect
@@ -30,6 +33,7 @@ from repro.errors import (
     HtmAbort,
     ReproError,
 )
+from repro.experiments.runner import run_native
 from repro.faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
 from repro.isa.instructions import Opcode
 from repro.pebs.driver import KernelDriver
@@ -457,25 +461,37 @@ class TestDetachEquivalence:
 # Golden: an empty fault plan is observationally free
 # ----------------------------------------------------------------------
 
+#: Seed-0 pins: (native cycles, LASER-on cycles, repaired, records
+#: seen).  The rows are the overhead slice: the two workloads online
+#: repair speeds up, a detector-heavy one and four contention shapes.
 GOLDEN = {
-    "histogram'": (174689, True),
-    "linear_regression": (460750, True),
-    "kmeans": (694966, False),
+    "histogram": (24925, 24925, False, 0),
+    "histogram'": (192895, 174689, True, 35),
+    "kmeans": (673113, 694966, False, 296),
+    "linear_regression": (471605, 460750, True, 210),
+    "matrix_multiply": (90832, 91638, False, 15),
+    "string_match": (331662, 331756, False, 21),
+    "word_count": (332005, 333203, False, 44),
 }
 
 
 class TestGoldenEmptyPlan:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_empty_plan_matches_seed_behavior(self, name):
-        cycles, repaired = GOLDEN[name]
+        _, cycles, repaired, records_seen = GOLDEN[name]
         result = Laser(LaserConfig(),
                        faults=FaultPlan(seed=99)).run_workload(
             get_workload(name)
         )
         assert result.cycles == cycles
         assert result.repaired is repaired
+        assert result.pipeline.stats.records_seen == records_seen
         assert not result.health.degraded
         assert result.health.faults_injected == 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_native_run_matches_seed_behavior(self, name):
+        assert run_native(get_workload(name), seed=0).cycles == GOLDEN[name][0]
 
     def test_no_plan_and_empty_plan_are_bit_identical(self):
         workload = get_workload("histogram'")

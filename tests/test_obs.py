@@ -1,9 +1,9 @@
-"""Observability: tracing, telemetry, profiler, spans, bench writers.
+"""Observability: tracing, telemetry, profiler, spans, the obs CLI.
 
 The load-bearing guarantees under test:
 
 * determinism — same seed + config produce byte-identical trace JSONL
-  and metrics snapshots;
+  and windows JSONL;
 * isolation — tracing observes, it never perturbs: simulated cycles are
   identical with tracing on, off, or ring-starved; the host-time
   profiler and span tracing likewise leave every simulated output
@@ -24,16 +24,7 @@ import pytest
 
 from repro.core.config import LaserConfig
 from repro.core.laser import Laser
-from repro.obs import (
-    NULL_TRACER,
-    Counter,
-    EventTracer,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RunTelemetry,
-    WindowStats,
-)
+from repro.obs import NULL_TRACER, EventTracer, RunTelemetry, WindowStats
 from repro.obs.trace import chrome_lane
 from repro.workloads.registry import get_workload
 
@@ -105,51 +96,11 @@ class TestTracerUnit:
             EventTracer(capacity=0)
 
 
-class TestMetricsUnit:
-    def test_counter_rejects_decrease(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("a")
-        counter.inc(3)
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-        assert counter.snapshot() == 3
-
-    def test_kind_clash_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-
-    def test_get_or_create_returns_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert len(registry) == 1
-
-    def test_histogram_buckets_and_stats(self):
-        hist = Histogram("h", buckets=(10.0, 100.0))
-        for value in (5, 50, 500, 7):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 4
-        assert snap["buckets"] == {"le_10": 2, "le_100": 1}
-        assert snap["overflow"] == 1
-        assert snap["min"] == 5.0 and snap["max"] == 500.0
-        assert hist.mean == pytest.approx(140.5)
-
-    def test_snapshot_is_byte_stable(self):
-        registry = MetricsRegistry()
-        registry.gauge("z").set(1.5)
-        registry.counter("a").inc()
-        first = MetricsRegistry.snapshot_json(registry.snapshot())
-        second = MetricsRegistry.snapshot_json(registry.snapshot())
-        assert first == second == '{"a":1,"z":1.5}'
-
-
 class TestTelemetryUnit:
     def test_series_and_totals(self):
         telemetry = RunTelemetry()
-        telemetry.record_window(make_window(0, 0, 50_000, hitm_events=4))
-        telemetry.record_window(
+        telemetry.close_window(make_window(0, 0, 50_000, hitm_events=4))
+        telemetry.close_window(
             make_window(1, 50_000, 100_000, hitm_events=6)
         )
         assert telemetry.series("hitm_events") == [4, 6]
@@ -163,8 +114,8 @@ class TestTelemetryUnit:
 
     def test_timeline_marks_states(self):
         telemetry = RunTelemetry()
-        telemetry.record_window(make_window(0, repair_state="attached"))
-        telemetry.record_window(
+        telemetry.close_window(make_window(0, repair_state="attached"))
+        telemetry.close_window(
             make_window(1, 50_000, 100_000, stalled=True)
         )
         timeline = telemetry.render_timeline()
@@ -187,7 +138,7 @@ class TestTelemetryUnit:
 
     def test_timeline_plots_drop_rate_column(self):
         telemetry = RunTelemetry()
-        telemetry.record_window(make_window(0, records_dropped=100))
+        telemetry.close_window(make_window(0, records_dropped=100))
         timeline = telemetry.render_timeline()
         assert "drop/s" in timeline.splitlines()[0]
         from repro._constants import CYCLES_PER_SECOND
@@ -202,11 +153,11 @@ class TestTelemetryUnit:
         formatting change must update this snapshot consciously.
         """
         telemetry = RunTelemetry()
-        telemetry.record_window(
+        telemetry.close_window(
             make_window(0, hitm_events=4, records_seen=7,
                         records_admitted=7, repair_state="attached")
         )
-        telemetry.record_window(
+        telemetry.close_window(
             make_window(1, 50_000, 100_000, stalled=True,
                         records_dropped=100)
         )
@@ -221,11 +172,11 @@ class TestTelemetryUnit:
 
     def test_timeline_adds_mode_column_only_for_control_runs(self):
         plain = RunTelemetry()
-        plain.record_window(make_window(0))
+        plain.close_window(make_window(0))
         assert "mode" not in plain.render_timeline().splitlines()[0]
 
         controlled = RunTelemetry()
-        controlled.record_window(
+        controlled.close_window(
             make_window(0, control_mode="shedding", records_offered=400,
                         records_shed=144, sav=76, admit_budget=128)
         )
@@ -242,8 +193,6 @@ class TestRunDeterminism:
                 == again.telemetry.tracer.to_jsonl())
         assert (traced.telemetry.windows_jsonl()
                 == again.telemetry.windows_jsonl())
-        assert (traced.telemetry.snapshots_jsonl()
-                == again.telemetry.snapshots_jsonl())
 
     def test_different_seed_different_trace(self, traced):
         other = traced_run(seed=1)
@@ -314,13 +263,6 @@ class TestRunTraceContent:
         assert states[0] == "idle"
         assert "attached" in states
 
-    def test_snapshots_track_windows(self, traced):
-        telemetry = traced.telemetry
-        assert len(telemetry.snapshots) == telemetry.window_count
-        last = telemetry.snapshots[-1]
-        assert last["hitm.events"] == telemetry.totals()["hitm_events"]
-        assert last["records.seen"] == telemetry.totals()["records_seen"]
-
     def test_chrome_trace_structure(self, traced):
         doc = traced.telemetry.to_chrome_trace()
         events = doc["traceEvents"]
@@ -335,6 +277,40 @@ class TestRunTraceContent:
         assert {c["name"] for c in counters} >= {"hitm_rate", "record_flow"}
         instants = [e for e in events if e["ph"] == "i"]
         assert all(e.get("s") == "t" for e in instants)
+
+
+class TestTelemetryTotals:
+    def test_totals_match_run_counters_under_storm(self):
+        """Each additive window field sums to the run's own counter.
+
+        A controller-on record storm moves the record fields far apart:
+        the PMU offers five times what the detector sees, and admission
+        shedding discards the rest at the driver.
+        """
+        from repro.experiments.frontier import CONTROL_PROFILES
+        from repro.faults import FaultPlan
+
+        config = LaserConfig(sample_after_value=1, repair_enabled=False,
+                             **CONTROL_PROFILES["on"])
+        plan = FaultPlan(0).add("load.burst", probability=1.0)
+        result = Laser(config, faults=plan).run_workload(
+            get_workload("linear_regression"))
+        totals = result.telemetry.totals()
+        assert {
+            name: totals[name]
+            for name in ("hitm_events", "records_seen", "records_admitted",
+                         "records_dropped", "records_shed",
+                         "records_offered")
+        } == {
+            "hitm_events": result.pmu.total_hitm_count,
+            "records_seen": result.pipeline.stats.records_seen,
+            "records_admitted": result.pipeline.stats.records_admitted,
+            "records_dropped": result.driver.records_dropped,
+            "records_shed": result.driver.records_shed,
+            "records_offered": result.pmu.records_generated,
+        }
+        assert totals["records_shed"] > 0
+        assert totals["records_offered"] > totals["records_seen"]
 
 
 class TestRunHealthSurfacing:
@@ -515,18 +491,6 @@ class TestHostProfilerUnit:
         finally:
             NULL_PROFILER.enabled = False
         assert NULL_PROFILER.total_ns == 0
-
-    def test_merge_accumulates_paths_and_calls(self, fake_clock):
-        from repro.obs import HostProfiler
-
-        first, second = HostProfiler(), HostProfiler()
-        for profiler in (first, second):
-            profiler.begin("sim.core")
-            fake_clock.advance(500)
-            profiler.end()
-        first.merge(second)
-        assert first.self_ns(("sim.core",)) == 1000
-        assert first.calls(("sim.core",)) == 2
 
     def test_as_dict_and_render_are_deterministic(self, fake_clock):
         from repro.obs import HostProfiler, render_profile
@@ -770,83 +734,6 @@ class TestGoldenPinsWithObservatoryOn:
         assert result.profile is not None  # it really was profiling
 
 
-# ----------------------------------------------------------------------
-# BENCH_core speed scoreboard
-# ----------------------------------------------------------------------
-
-class TestBenchCore:
-    def test_collect_schema_and_anchors(self):
-        from repro.obs.bench_core import BENCH_CORE_SCHEMA, collect_bench_core
-        from repro.obs.profile import KERNEL_CATEGORIES
-
-        bench = collect_bench_core(["histogram'"], runs=3, workers=1)
-        assert bench["schema"] == BENCH_CORE_SCHEMA
-        entry = bench["workloads"]["histogram'"]
-        for field in ("native_cycles_per_sec", "sim_cycles_per_sec",
-                      "records_per_sec"):
-            assert entry[field] > 0
-        assert set(KERNEL_CATEGORIES) <= set(entry["self_time_shares"])
-        assert entry["records_seen"] > 0
-        assert bench["geomean_sim_cycles_per_sec"] > 0
-
-        again = collect_bench_core(["histogram'"], runs=3, workers=1)
-        twin = again["workloads"]["histogram'"]
-        # Rates are host-dependent; the anchors must not move.
-        assert twin["laser_cycles"] == entry["laser_cycles"]
-        assert twin["records_seen"] == entry["records_seen"]
-
-    def test_rate_gate_only_fails_on_regressions(self):
-        from repro.obs.bench_core import max_rate_drift_pct
-
-        base = {"workloads": {"w": {
-            "native_cycles_per_sec": 100.0, "sim_cycles_per_sec": 100.0,
-            "records_per_sec": 50.0,
-        }}}
-        faster = {"workloads": {"w": {
-            "native_cycles_per_sec": 900.0, "sim_cycles_per_sec": 1000.0,
-            "records_per_sec": 500.0,
-        }}}
-        slower = {"workloads": {"w": {
-            "native_cycles_per_sec": 100.0, "sim_cycles_per_sec": 40.0,
-            "records_per_sec": 50.0,
-        }}}
-        assert max_rate_drift_pct(base, faster) == 0.0
-        assert max_rate_drift_pct(base, slower) == pytest.approx(60.0)
-        # Zero-rate baselines (histogram has no records) are skipped.
-        base["workloads"]["w"]["records_per_sec"] = 0.0
-        assert max_rate_drift_pct(base, slower) == pytest.approx(60.0)
-
-    def test_diff_marks_anchor_moves_as_behavior_changes(self):
-        from repro.obs.bench_core import diff_bench_core
-
-        base = {"workloads": {"w": {
-            "native_cycles_per_sec": 100.0, "sim_cycles_per_sec": 100.0,
-            "records_per_sec": 50.0, "laser_cycles": 1000.0,
-            "records_seen": 40,
-        }}}
-        same = json.loads(json.dumps(base))
-        assert "no rate drift" in diff_bench_core(base, same)
-        moved = json.loads(json.dumps(base))
-        moved["workloads"]["w"]["records_seen"] = 41
-        assert "BEHAVIOR CHANGE" in diff_bench_core(base, moved)
-
-    def test_committed_scoreboard_is_fresh(self):
-        """The committed BENCH_core.json parses, matches the current
-        schema, and covers the bench suite (≥5 registry workloads)."""
-        from repro.obs.bench import DEFAULT_BENCH_WORKLOADS
-        from repro.obs.bench_core import BENCH_CORE_SCHEMA
-
-        path = os.path.join(_SRC, os.pardir, "BENCH_core.json")
-        with open(path) as fh:
-            committed = json.load(fh)
-        assert committed["schema"] == BENCH_CORE_SCHEMA
-        assert set(committed["workloads"]) == set(DEFAULT_BENCH_WORKLOADS)
-        assert len(committed["workloads"]) >= 5
-        for entry in committed["workloads"].values():
-            assert set(entry["self_time_shares"]) >= {
-                "sim.core", "pebs.drain", "detection", "repair"}
-
-
 class TestCliAndBench:
     def _run(self, *argv):
         env = dict(os.environ)
@@ -909,28 +796,3 @@ class TestCliAndBench:
         lines = jsonl.read_text().splitlines()
         assert lines
         assert all(json.loads(line)["name"] for line in lines)
-
-    def test_collect_bench_schema(self):
-        from repro.obs.bench import BENCH_SCHEMA, collect_bench
-
-        bench = collect_bench(["histogram'"], runs=3)
-        assert bench["schema"] == BENCH_SCHEMA
-        assert bench["config"]["runs"] == 3
-        entry = bench["workloads"]["histogram'"]
-        for key in ("native_cycles", "laser_cycles", "overhead",
-                    "records_per_sec", "hitm_events", "repaired"):
-            assert key in entry
-        assert entry["overhead"] > 0
-        assert bench["geomean_overhead"] > 0
-
-    def test_bench_cycles_deterministic(self):
-        from repro.obs.bench import collect_bench
-
-        first = collect_bench(["histogram'"], runs=3)
-        second = collect_bench(["histogram'"], runs=3)
-        a = first["workloads"]["histogram'"]
-        b = second["workloads"]["histogram'"]
-        # simulated fields are seed-deterministic; wall-clock is not
-        assert a["native_cycles"] == b["native_cycles"]
-        assert a["laser_cycles"] == b["laser_cycles"]
-        assert a["hitm_events"] == b["hitm_events"]
