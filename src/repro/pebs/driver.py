@@ -17,14 +17,23 @@ outbox is full the driver drops the freshly drained records and counts
 them in ``records_dropped`` — the detector observes the loss through
 the count, never through a crash.
 
+Each admitted record is stripped exactly once, at ``deliver`` time: the
+one :class:`StrippedRecord` is what the journal keeps, what the per-core
+buffer holds and what a drain moves into the outbox.  Sharing it is
+safe because nothing downstream of the driver mutates a stripped record
+(``pebs.record_corrupt`` edits the raw record before delivery).  The PMU
+hands over the records of one event at a time — the SAV-th sample, or
+all of one ``load.burst`` fire's records — so the driver and the
+journal are crossed once per PMU event, not once per record.
+
 Crash recoverability (``repro.resilience``): when the driver is given a
-:class:`~repro.resilience.journal.RecordJournal`, every record is
-journaled — as a stripped copy, stamped with a sequence number — at
-``deliver`` time, the moment the PMU hands it over.  The per-core
-buffers and the outbox are *volatile*: ``crash_reset`` wipes them (a
-driver crash loses exactly that state), and the journal is what heals
-the wipe.  A driver whose restart budget is exhausted is ``halted`` and
-drops deliveries with accounting instead of crashing the run.
+:class:`~repro.resilience.journal.RecordJournal`, every admitted record
+is journaled — stamped with a sequence number — at ``deliver`` time,
+the moment the PMU hands it over.  The per-core buffers and the outbox
+are *volatile*: ``crash_reset`` wipes them (a driver crash loses
+exactly that state), and the journal is what heals the wipe.  A driver
+whose restart budget is exhausted is ``halted`` and drops deliveries
+with accounting instead of crashing the run.
 
 Admission control (``repro.control``): the overload controller may set
 a per-interval record budget via :meth:`set_admission`.  A record
@@ -37,7 +46,7 @@ controller escalates, so controller-off runs take one predictable
 branch here and stay bit-identical.
 """
 
-from typing import List
+from typing import List, Sequence
 
 from repro._constants import (
     DRIVER_INTERRUPT_COST,
@@ -82,9 +91,9 @@ class KernelDriver:
         #: per buffer drain and ``driver.outbox_drop`` on overflow.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Host-time profiler; charges the full-drain path (the bulk of
-        #: the driver's host cost) to ``pebs.drain``.  The per-record
+        #: the driver's host cost) to ``pebs.drain``.  The per-event
         #: ``deliver`` hot path is intentionally unprofiled — a clock
-        #: read per record would cost more than the thing measured.
+        #: read per event would cost more than the thing measured.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Optional write-ahead :class:`RecordJournal`; when present,
         #: every delivered record is journaled before it touches any
@@ -97,7 +106,8 @@ class KernelDriver:
         #: ``None`` = unlimited (the controller-off fast path).
         self.admission_budget = None
         self._admitted_in_interval = 0
-        self._core_buffers: List[List[PebsRecord]] = [[] for _ in range(num_cores)]
+        self._core_buffers: List[List[StrippedRecord]] = [
+            [] for _ in range(num_cores)]
         self._outbox: List[StrippedRecord] = []
         self.interrupts = 0
         self.driver_cycles = 0
@@ -109,33 +119,54 @@ class KernelDriver:
     # PMU-facing side
     # ------------------------------------------------------------------
 
-    def deliver(self, record: PebsRecord) -> int:
-        """Accept a record from the PMU; returns interrupt cost if any."""
+    def deliver(self, records: Sequence[PebsRecord]) -> int:
+        """Accept one PMU event's records; returns the interrupt cost.
+
+        ``records`` (at least one) are what one ``on_hitm`` produced on
+        one core: the SAV-th sample, or one ``load.burst`` fire's batch.
+        Each record gets exactly the outcome it would get delivered on
+        its own: dropped while halted, shed once the admission budget
+        runs out, otherwise stripped, journaled, buffered — with a
+        buffer-full interrupt (and drain) at every ``buffer_records``
+        boundary.  The return value sums the interrupts the group
+        raised.
+        """
         if self.halted:
-            self.records_dropped += 1
+            self.records_dropped += len(records)
             return 0
         if self.admission_budget is not None:
             # Admission control: shed *before* the journal write, so a
             # shed record leaves no durable trace to replay, and before
             # the buffers, so it costs no interrupt either.
-            if self._admitted_in_interval >= self.admission_budget:
-                self.records_shed += 1
-                return 0
-            self._admitted_in_interval += 1
+            room = self.admission_budget - self._admitted_in_interval
+            if room < len(records):
+                self.records_shed += len(records) - room
+                records = records[:room]
+                if not records:
+                    return 0
+            self._admitted_in_interval += len(records)
+        stripped = [StrippedRecord(r.pc, r.data_addr, r.core, r.cycle,
+                                   0, r.weight) for r in records]
         if self.journal is not None:
-            # Journal the stripped form first (write-ahead: durable
-            # before volatile), then stamp the raw record so the copy
-            # later drained to the outbox carries the same seqno.
-            stripped = StrippedRecord.from_pebs(record)
-            record.seq = self.journal.append(stripped)
-        buffer = self._core_buffers[record.core]
-        buffer.append(record)
-        if len(buffer) < self.buffer_records:
-            return 0
-        self._drain_core(record.core)
-        self.interrupts += 1
-        self.driver_cycles += self.interrupt_cost
-        return self.interrupt_cost
+            # Write-ahead: durable before volatile.  The journal stamps
+            # the seqnos on the very objects buffered below.
+            self.journal.append(stripped)
+        core = stripped[0].core
+        buffer = self._core_buffers[core]
+        cost = start = 0
+        while start < len(stripped):
+            # The record that fills the buffer raises the interrupt.
+            end = start + max(self.buffer_records - len(buffer), 1)
+            if end > len(stripped):
+                buffer.extend(stripped[start:])
+                break
+            buffer.extend(stripped[start:end])
+            self._drain_core(core)
+            self.interrupts += 1
+            self.driver_cycles += self.interrupt_cost
+            cost += self.interrupt_cost
+            start = end
+        return cost
 
     def _drain_core(self, core: int) -> None:
         buffer = self._core_buffers[core]
@@ -143,18 +174,16 @@ class KernelDriver:
             return
         overflow = (self.injector is not None
                     and self.injector.fires("driver.outbox_overflow"))
-        dropped_before = self.records_dropped
-        for rec in buffer:
-            if overflow or len(self._outbox) >= self.outbox_capacity:
-                self.records_dropped += 1
-            else:
-                self._outbox.append(StrippedRecord.from_pebs(rec))
-                self.records_forwarded += 1
+        room = 0 if overflow else self.outbox_capacity - len(self._outbox)
+        forwarded = min(room, len(buffer))
+        self._outbox.extend(buffer[:forwarded])
+        self.records_forwarded += forwarded
+        dropped = len(buffer) - forwarded
+        self.records_dropped += dropped
         if self.tracer.enabled:
             # The drain happens at the interrupt that the last-delivered
             # record raised; its TSC is the drain's timestamp.
             cycle = buffer[-1].cycle
-            dropped = self.records_dropped - dropped_before
             self.tracer.emit("driver.drain", cycle, core=core,
                              drained=len(buffer), dropped=dropped,
                              outbox=len(self._outbox))

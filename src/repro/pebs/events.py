@@ -6,18 +6,20 @@ opaque payload).  The kernel driver strips records down to
 :class:`StrippedRecord` — "only the PC, data address, and originating
 core" (Section 6) — before they reach the userspace detector.
 
-Both record classes carry a ``seq`` slot: the write-ahead journal
-(:mod:`repro.resilience.journal`) stamps each stripped record with a
-monotone sequence number at the driver boundary, and the stripped copy
-forwarded to the detector inherits it so duplicate delivery after a
-crash can be detected against the acked watermark.  ``seq == 0`` means
-"never journaled" (resilience disabled).
+A stripped record carries a ``seq`` slot: the write-ahead journal
+(:mod:`repro.resilience.journal`) stamps each one with a monotone
+sequence number at the driver boundary, and since the journal, the
+per-core buffer and the outbox hold the same object, the record the
+detector reads carries it too, so duplicate delivery after a crash can
+be detected against the acked watermark.  ``seq == 0`` means "never
+journaled" (resilience disabled).
 
-They also carry a ``weight``: how many base-SAV records this record
-stands for.  The overload controller (:mod:`repro.control`) raises the
-SAV under load; records sampled at the elevated SAV are stamped with
-the SAV multiplier so the detection pipeline's rate estimates stay
-unbiased.  ``weight == 1`` always, outside controller throttling.
+Both record classes carry a ``weight``: how many base-SAV records this
+record stands for.  The overload controller (:mod:`repro.control`)
+raises the SAV under load; records sampled at the elevated SAV are
+stamped with the SAV multiplier so the detection pipeline's rate
+estimates stay unbiased.  ``weight == 1`` always, outside controller
+throttling.
 """
 
 __all__ = ["PebsRecord", "StrippedRecord", "XSNP_HITM_EVENT"]
@@ -30,16 +32,15 @@ class PebsRecord:
     """A full PEBS record as produced by the (simulated) hardware."""
 
     __slots__ = ("pc", "data_addr", "core", "cycle", "store_triggered",
-                 "register_file", "seq", "weight")
+                 "register_file", "weight")
 
     def __init__(self, pc: int, data_addr: int, core: int, cycle: int,
-                 store_triggered: bool, register_file=None, seq: int = 0,
+                 store_triggered: bool, register_file=None,
                  weight: int = 1):
         self.pc = pc
         self.data_addr = data_addr
         self.core = core
         self.cycle = cycle
-        self.seq = seq
         self.weight = weight
         #: Whether the triggering access was a store (Figure 1c).  The
         #: real record does not expose this; it exists for ground-truth
@@ -67,11 +68,6 @@ class StrippedRecord:
         self.cycle = cycle
         self.seq = seq
         self.weight = weight
-
-    @classmethod
-    def from_pebs(cls, record: PebsRecord) -> "StrippedRecord":
-        return cls(record.pc, record.data_addr, record.core, record.cycle,
-                   seq=record.seq, weight=record.weight)
 
     def __repr__(self):
         return "<Record pc=%#x addr=%#x core=%d cyc=%d>" % (

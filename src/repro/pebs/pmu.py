@@ -24,7 +24,10 @@ perturbed, so the genuine record stream is identical with or without
 the storm.  Storm records charge no microcode-assist cycles (a phantom
 counter event never ran an assist for real work) but they do fill
 driver buffers, so their interrupt cost — and the admission budget that
-sheds them — is real.
+sheds them — is real.  One fire's sampled records are counted
+arithmetically, drawn from the site's RNG in order (PC, then address,
+per record) and handed to the driver in one ``deliver`` call, exactly
+as the SAV-th real sample is handed over as a group of one.
 """
 
 from typing import List
@@ -136,7 +139,7 @@ class PerformanceMonitoringUnit:
                 record.pc = rng.getrandbits(40)
                 record.data_addr = rng.getrandbits(40)
         if self.driver is not None:
-            extra += self.driver.deliver(record)
+            extra += self.driver.deliver((record,))
         return extra
 
     def _burst_storm(self, core: int, cycle: int) -> int:
@@ -145,24 +148,23 @@ class PerformanceMonitoringUnit:
         Sampled at the *current* SAV — which is exactly what closes the
         control loop: raising the SAV throttles the storm at its source.
         """
+        first = self.burst_events
+        self.burst_events = first + BURST_EVENTS_PER_FIRE
+        sav = self.sample_after_value
+        # Phantom events first+1 .. first+16 that land on an SAV multiple.
+        sampled = self.burst_events // sav - first // sav
+        if not sampled:
+            return 0
         rng = self.injector.rng("load.burst")
-        extra = 0
-        for _ in range(BURST_EVENTS_PER_FIRE):
-            self.burst_events += 1
-            if self.burst_events % self.sample_after_value != 0:
-                continue
-            record = PebsRecord(
-                pc=_BURST_PC_BASE | rng.getrandbits(32),
-                data_addr=rng.getrandbits(40),
-                core=core,
-                cycle=cycle,
-                store_triggered=False,
-            )
-            self.records_generated += 1
-            self.burst_records += 1
-            if self.driver is not None:
-                extra += self.driver.deliver(record)
-        return extra
+        getrandbits = rng.getrandbits
+        records = [PebsRecord(_BURST_PC_BASE | getrandbits(32),
+                              getrandbits(40), core, cycle, False)
+                   for _ in range(sampled)]
+        self.records_generated += sampled
+        self.burst_records += sampled
+        if self.driver is None:
+            return 0
+        return self.driver.deliver(records)
 
     @property
     def total_hitm_count(self) -> int:

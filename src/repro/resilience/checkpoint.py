@@ -25,7 +25,7 @@ not a simulation shortcut around it.
 
 import json
 import zlib
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.trace import NULL_TRACER
 
@@ -44,15 +44,18 @@ def encode_state(state: dict) -> bytes:
 class Snapshot:
     """One retained checkpoint generation."""
 
-    __slots__ = ("generation", "cycle", "payload", "crc", "schema")
+    __slots__ = ("generation", "cycle", "payload", "crc", "schema", "ints")
 
     def __init__(self, generation: int, cycle: int, payload: bytes,
-                 crc: int, schema: int):
+                 crc: int, schema: int, ints: Dict[str, int]):
         self.generation = generation
         self.cycle = cycle
         self.payload = payload
         self.crc = crc
         self.schema = schema
+        #: The saved state's top-level integers (``acked_seq`` among
+        #: them), kept beside the payload for compaction bookkeeping.
+        self.ints = ints
 
     def __repr__(self):
         return "<Snapshot gen=%d cycle=%d %dB crc=%08x>" % (
@@ -93,6 +96,7 @@ class CheckpointStore:
             payload=payload,
             crc=zlib.crc32(payload) & 0xFFFFFFFF,
             schema=CHECKPOINT_SCHEMA,
+            ints={k: v for k, v in state.items() if type(v) is int},
         )
         self._next_generation += 1
         self._snapshots.append(snap)
@@ -168,22 +172,19 @@ class CheckpointStore:
     # ------------------------------------------------------------------
 
     def min_retained(self, key: str, default: int = 0) -> int:
-        """Smallest ``state[key]`` across retained generations.
+        """Smallest top-level integer ``state[key]`` across generations.
 
         Used for journal compaction: entries at or below the *oldest*
         retained checkpoint's acked seqno can never be needed again,
-        even if load falls back a generation.  Reads the stored bytes
-        directly (no injector involvement — this is bookkeeping, not a
-        restore).
+        even if load falls back a generation.  Reads the integers
+        ``save`` kept on each snapshot, so no payload is decoded (and
+        the injector is not involved — this is bookkeeping, not a
+        restore).  They equal what the payloads hold: stored bytes are
+        never modified in place (``checkpoint.corrupt`` flips a copy at
+        load time).
         """
-        values = []
-        for snap in self._snapshots:
-            try:
-                state = json.loads(snap.payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return default
-            values.append(state.get(key, default))
-        return min(values) if values else default
+        return min((snap.ints.get(key, default) for snap in self._snapshots),
+                   default=default)
 
     @property
     def generations(self) -> int:

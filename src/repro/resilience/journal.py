@@ -2,11 +2,13 @@
 
 Every stripped PEBS record is appended here *at the driver boundary* —
 the moment the driver accepts it from the PMU — and stamped with a
-monotonically increasing sequence number.  The journal is the durable
-side of the pipeline (the model of a WAL file the kernel driver keeps
-next to its device node); the per-core buffers and the detector-facing
-outbox are volatile.  Everything downstream can therefore be
-reconstructed:
+monotonically increasing sequence number.  The driver appends once per
+PMU event (one group of records, stamped with consecutive seqnos), and
+each entry is the same object the driver buffers and forwards.  The
+journal is the durable side of the pipeline (the model of a WAL file
+the kernel driver keeps next to its device node); the per-core buffers
+and the detector-facing outbox are volatile.  Everything downstream
+can therefore be reconstructed:
 
 * a restarted *detector* restores its last checkpoint (acked seqno
   ``A``) and replays the suffix ``seq > A``;
@@ -31,10 +33,14 @@ shed with accounting (an online monitor must not let its own WAL grow
 without limit).  Compaction is the usual checkpoint contract —
 ``truncate_through(seq)`` drops everything at or below the oldest
 *retained* checkpoint's acked seqno.
+
+Seqnos are stamped consecutively and entries only ever leave from the
+front, so the retained entries always carry the contiguous seqnos
+``head_seq - len + 1 .. head_seq``: an entry's index follows from its
+seqno by subtraction, with no search.
 """
 
-from bisect import bisect_right
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.pebs.batch import RecordBatch
 from repro.pebs.events import StrippedRecord
@@ -71,16 +77,24 @@ class RecordJournal:
     # Write side (the driver)
     # ------------------------------------------------------------------
 
-    def append(self, record: StrippedRecord) -> int:
-        """Journal one stripped record; stamps and returns its seqno."""
-        record.seq = self._next_seq
-        self._next_seq += 1
-        self._entries.append(record)
-        self.appended += 1
-        if len(self._entries) > self.max_entries:
-            del self._entries[0]
-            self.overflow_dropped += 1
-        return record.seq
+    def append(self, records: Sequence[StrippedRecord]) -> int:
+        """Journal one event's stripped records; returns the last seqno.
+
+        Stamps the records with consecutive seqnos in order.
+        """
+        seq = self._next_seq
+        for record in records:
+            record.seq = seq
+            seq += 1
+        self._next_seq = seq
+        entries = self._entries
+        entries.extend(records)
+        self.appended += len(records)
+        excess = len(entries) - self.max_entries
+        if excess > 0:
+            del entries[:excess]
+            self.overflow_dropped += excess
+        return seq - 1
 
     # ------------------------------------------------------------------
     # Ack side (the detector)
@@ -105,10 +119,14 @@ class RecordJournal:
     # Replay side
     # ------------------------------------------------------------------
 
+    def _count_through(self, seq: int) -> int:
+        """How many retained entries carry a seqno at or below ``seq``."""
+        first = self._next_seq - len(self._entries)
+        return min(max(seq - first + 1, 0), len(self._entries))
+
     def entries_after(self, seq: int) -> List[StrippedRecord]:
         """All retained entries with seqno strictly above ``seq``."""
-        lo = bisect_right([e.seq for e in self._entries], seq)
-        return self._entries[lo:]
+        return self._entries[self._count_through(seq):]
 
     def batches_after(self, seq: int):
         """The unprocessed suffix, split at acked-batch marks.
@@ -154,10 +172,9 @@ class RecordJournal:
 
     def truncate_through(self, seq: int) -> int:
         """Drop entries (and marks) at or below ``seq``; returns count."""
-        lo = bisect_right([e.seq for e in self._entries], seq)
-        dropped = lo
+        dropped = self._count_through(seq)
         if dropped:
-            del self._entries[:lo]
+            del self._entries[:dropped]
             self.truncated += dropped
         self._marks = [(s, c) for s, c in self._marks if s > seq]
         return dropped

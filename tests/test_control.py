@@ -200,7 +200,7 @@ class TestAdmissionControl:
         driver = KernelDriver()
         driver.set_admission(3)
         for i in range(5):
-            driver.deliver(_record(i))
+            driver.deliver([_record(i)])
         assert driver.records_shed == 2
         assert driver.pending_records == 3
 
@@ -208,35 +208,35 @@ class TestAdmissionControl:
         driver = KernelDriver()
         driver.set_admission(2)
         for i in range(4):
-            driver.deliver(_record(i))
+            driver.deliver([_record(i)])
         assert driver.records_shed == 2
         driver.set_admission(2)
-        driver.deliver(_record(9))
+        driver.deliver([_record(9)])
         assert driver.records_shed == 2  # new interval, fresh meter
 
     def test_zero_budget_parks_and_none_lifts(self):
         driver = KernelDriver()
         driver.set_admission(0)
-        driver.deliver(_record(0))
+        driver.deliver([_record(0)])
         assert driver.records_shed == 1 and driver.pending_records == 0
         driver.set_admission(None)
         for i in range(10):
-            driver.deliver(_record(i))
+            driver.deliver([_record(i)])
         assert driver.records_shed == 1 and driver.pending_records == 10
 
     def test_shed_records_never_reach_the_journal(self):
         class CountingJournal:
             appended = 0
 
-            def append(self, stripped):
-                self.appended += 1
+            def append(self, records):
+                self.appended += len(records)
                 return self.appended
 
         journal = CountingJournal()
         driver = KernelDriver(journal=journal)
         driver.set_admission(1)
         for i in range(4):
-            driver.deliver(_record(i))
+            driver.deliver([_record(i)])
         assert driver.records_shed == 3
         assert journal.appended == 1
 

@@ -185,7 +185,7 @@ class TestBoundedOutbox:
         driver = KernelDriver(num_cores=1, buffer_records=4,
                               outbox_capacity=6)
         for i in range(12):  # three full-buffer drains of 4 records
-            driver.deliver(_record(0, cycle=i))
+            driver.deliver([_record(0, cycle=i)])
         assert driver.records_forwarded == 6
         assert driver.records_dropped == 6
         assert driver.pending_records == 6
@@ -198,24 +198,24 @@ class TestBoundedOutbox:
         driver = KernelDriver(num_cores=1, buffer_records=4,
                               injector=FaultInjector(plan))
         for i in range(8):
-            driver.deliver(_record(0, cycle=i))
+            driver.deliver([_record(0, cycle=i)])
         # Second drain (occurrence index 1) was dropped wholesale.
         assert driver.records_forwarded == 4
         assert driver.records_dropped == 4
 
     def test_read_records_merges_by_cycle_core_pc(self):
         driver = KernelDriver(num_cores=3, buffer_records=64)
-        driver.deliver(_record(2, cycle=5, pc=0x30))
-        driver.deliver(_record(0, cycle=9, pc=0x10))
-        driver.deliver(_record(1, cycle=5, pc=0x20))
-        driver.deliver(_record(1, cycle=5, pc=0x15))
+        driver.deliver([_record(2, cycle=5, pc=0x30)])
+        driver.deliver([_record(0, cycle=9, pc=0x10)])
+        driver.deliver([_record(1, cycle=5, pc=0x20)])
+        driver.deliver([_record(1, cycle=5, pc=0x15)])
         driver.flush_all()
         records = driver.read_records()
         assert records == []  # flush_all already drained
-        driver.deliver(_record(2, cycle=5, pc=0x30))
-        driver.deliver(_record(0, cycle=9, pc=0x10))
-        driver.deliver(_record(1, cycle=5, pc=0x20))
-        driver.deliver(_record(1, cycle=5, pc=0x15))
+        driver.deliver([_record(2, cycle=5, pc=0x30)])
+        driver.deliver([_record(0, cycle=9, pc=0x10)])
+        driver.deliver([_record(1, cycle=5, pc=0x20)])
+        driver.deliver([_record(1, cycle=5, pc=0x15)])
         records = driver.flush_all()
         keys = [(r.cycle, r.core, r.pc) for r in records]
         assert keys == sorted(keys)

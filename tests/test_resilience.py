@@ -24,6 +24,7 @@ Four layers of coverage:
 
 import json
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -151,7 +152,7 @@ class TestBackoffPolicy:
 class TestRecordJournal:
     def test_append_stamps_monotone_seq(self):
         journal = RecordJournal()
-        seqs = [journal.append(record(i)) for i in range(5)]
+        seqs = [journal.append([record(i)]) for i in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
         assert journal.head_seq == 5
         assert journal.acked_seq == 0
@@ -159,7 +160,7 @@ class TestRecordJournal:
     def test_marks_are_monotone(self):
         journal = RecordJournal()
         for i in range(6):
-            journal.append(record(i))
+            journal.append([record(i)])
         journal.mark_batch(4, cycle=100)
         journal.mark_batch(2, cycle=120)  # replays never move it back
         assert journal.acked_seq == 4
@@ -169,14 +170,14 @@ class TestRecordJournal:
     def test_entries_after_watermark(self):
         journal = RecordJournal()
         for i in range(5):
-            journal.append(record(i))
+            journal.append([record(i)])
         assert [r.seq for r in journal.entries_after(3)] == [4, 5]
         assert journal.entries_after(5) == []
 
     def test_batches_after_splits_at_marks(self):
         journal = RecordJournal()
         for i in range(7):
-            journal.append(record(i))
+            journal.append([record(i)])
         journal.mark_batch(2, cycle=50)
         journal.mark_batch(5, cycle=100)
         batches, tail = journal.batches_after(0)
@@ -192,7 +193,7 @@ class TestRecordJournal:
         journal = RecordJournal()
         records = [record(i) for i in range(4)]
         for r in records:
-            journal.append(r)
+            journal.append([r])
         journal.mark_batch(2, cycle=10)
         fresh, dups = RecordJournal.dedup(records, journal.acked_seq)
         assert [r.seq for r in fresh] == [3, 4]
@@ -201,7 +202,7 @@ class TestRecordJournal:
     def test_truncate_through_compacts_entries_and_marks(self):
         journal = RecordJournal()
         for i in range(6):
-            journal.append(record(i))
+            journal.append([record(i)])
         journal.mark_batch(2, cycle=10)
         journal.mark_batch(5, cycle=20)
         assert journal.truncate_through(2) == 2
@@ -215,10 +216,53 @@ class TestRecordJournal:
     def test_capacity_bound_sheds_oldest_with_accounting(self):
         journal = RecordJournal(max_entries=3)
         for i in range(5):
-            journal.append(record(i))
+            journal.append([record(i)])
         assert len(journal) == 3
         assert journal.overflow_dropped == 2
         assert [r.seq for r in journal.entries_after(0)] == [3, 4, 5]
+
+    def test_grouped_append_stamps_consecutive_seqs(self):
+        journal = RecordJournal(max_entries=4)
+        group = [record(i) for i in range(3)]
+        assert journal.append(group) == 3
+        assert [r.seq for r in group] == [1, 2, 3]
+        assert journal.append([record(3), record(4)]) == 5
+        assert journal.overflow_dropped == 1
+        assert [r.seq for r in journal.entries_after(0)] == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("capacity, truncate", [
+        (1 << 20, None),  # never compacted
+        (7, None),        # after max_entries overflow
+        (1 << 20, 6),     # after truncate_through
+        (7, 15),          # both
+    ])
+    def test_compaction_cuts_match_a_bisect_reference(self, capacity,
+                                                      truncate):
+        """``entries_after`` and ``truncate_through`` find their cut from
+        the contiguous-seq invariant; it must agree with a search over
+        the retained seqs below, inside and above the retained range."""
+        def build():
+            journal = RecordJournal(max_entries=capacity)
+            appended = []
+            for size in (1, 3, 2, 5, 1, 4, 2):  # 18 records, grouped
+                group = [record(i) for i in range(size)]
+                journal.append(group)
+                appended += group
+            retained = appended[-capacity:]
+            if truncate is not None:
+                journal.truncate_through(truncate)
+                retained = [r for r in retained if r.seq > truncate]
+            return journal, retained
+
+        journal, retained = build()
+        seqs = [r.seq for r in retained]
+        for s in range(seqs[0] - 3, journal.head_seq + 4):
+            cut = bisect_right(seqs, s)
+            assert journal.entries_after(s) == retained[cut:], s
+            compacted, _ = build()
+            assert compacted.truncate_through(s) == cut, s
+            assert [r.seq for r in compacted.entries_after(-1)] == \
+                seqs[cut:], s
 
     def test_batch_sort_key_is_the_driver_merge_order(self):
         records = [
@@ -260,6 +304,9 @@ class TestCheckpointStore:
         assert len(store.snapshots) == 2
         assert [s.payload for s in store.snapshots] != []
         assert store.min_retained("value") == 3
+        assert store.min_retained("value") == min(
+            json.loads(s.payload.decode("utf-8"))["value"]
+            for s in store.snapshots)
 
     def test_corrupt_newest_falls_back_a_generation(self):
         store = CheckpointStore(injector=_corrupting_injector((0,)))
@@ -308,7 +355,7 @@ class TestTruncationRace:
         # generation's replay suffix is intact by construction.
         journal = RecordJournal()
         for i in range(10):
-            journal.append(record(i))
+            journal.append([record(i)])
         store = CheckpointStore(injector=_corrupting_injector((0,)))
         journal.mark_batch(4, cycle=100)
         store.save({"acked_seq": 4}, cycle=100)
