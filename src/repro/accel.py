@@ -14,10 +14,14 @@ optional:
 Both selections are *observationally invisible*: every golden pin
 (cycles, reports, trace/window SHA-256, health dicts) is byte-identical
 under any engine combination — the engines change host wall-clock only.
-``resolve_engine("auto")`` picks numpy when it imports, pure Python
-otherwise; the ``LASER_ENGINE`` / ``LASER_SIM_ENGINE`` environment
-variables override the ``auto`` choice (the CI engines matrix uses them
-to force each combination without touching configs).
+``Laser.run_built`` resolves ``auto`` for both: ``resolve_engine``
+picks numpy when it imports, pure Python otherwise, and
+``resolve_sim_engine`` picks the trace engine.  The ``LASER_ENGINE`` /
+``LASER_SIM_ENGINE`` environment variables override the ``auto``
+choice; the CI engines matrix uses them to force each combination, and
+``perfbench/make_digests.py`` to make its reference digests on the
+interpreter.  Components built directly (``Machine``, ``KernelDriver``,
+``DetectionPipeline``) also take an explicit engine name.
 """
 
 import os

@@ -13,7 +13,6 @@ watchdog only fires when a repair demonstrably stopped paying off.
 """
 
 from repro._constants import DRIVER_OUTBOX_CAPACITY, HTM_ABORT_FALLBACK_THRESHOLD
-from repro.accel import ENGINES, SIM_ENGINES
 
 __all__ = ["LaserConfig"]
 
@@ -63,16 +62,7 @@ class LaserConfig:
         static_prefilter: bool = False,
         profile_enabled: bool = False,
         trace_spans: bool = False,
-        engine: str = "auto",
-        sim_engine: str = "auto",
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                "engine must be one of %s, got %r" % (ENGINES, engine))
-        if sim_engine not in SIM_ENGINES:
-            raise ValueError(
-                "sim_engine must be one of %s, got %r"
-                % (SIM_ENGINES, sim_engine))
         if sample_after_value < 1:
             raise ValueError("SAV must be >= 1")
         if rate_threshold < 0 or repair_trigger_rate < 0:
@@ -240,18 +230,6 @@ class LaserConfig:
         #: by default because any extra emission changes the trace
         #: stream's SHA-256 golden pin.
         self.trace_spans = trace_spans
-        #: Record/detection engine (``repro.accel``): ``"numpy"`` flows
-        #: struct-of-arrays batches through vectorized kernels,
-        #: ``"python"`` keeps the scalar per-record loops, ``"auto"``
-        #: picks numpy when the ``[accel]`` extra is importable.  Every
-        #: golden pin is byte-identical under either engine — the
-        #: choice moves host wall-clock only.
-        self.engine = engine
-        #: Simulator engine: ``"trace"`` executes precompiled
-        #: basic-block traces, ``"interp"`` the legacy per-instruction
-        #: interpreter.  Bit-identical by construction; ``"auto"``
-        #: defaults to the trace engine.
-        self.sim_engine = sim_engine
 
     def replace(self, **kwargs) -> "LaserConfig":
         """Return a copy with some fields overridden."""
@@ -296,8 +274,6 @@ class LaserConfig:
             static_prefilter=self.static_prefilter,
             profile_enabled=self.profile_enabled,
             trace_spans=self.trace_spans,
-            engine=self.engine,
-            sim_engine=self.sim_engine,
         )
         fields.update(kwargs)
         return LaserConfig(**fields)

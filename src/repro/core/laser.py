@@ -168,11 +168,12 @@ class Laser:
         config = self.config
         program = built.program
         injector = FaultInjector(self.faults)
-        # Acceleration engines (``repro.accel``): resolved once per run
-        # so every component agrees, and recorded on RunHealth so the
-        # run reports which engines actually served it.
-        engine = resolve_engine(config.engine)
-        sim_engine = resolve_sim_engine(config.sim_engine)
+        # Acceleration engines (``repro.accel``): ``auto`` resolved once
+        # per run (the LASER_ENGINE / LASER_SIM_ENGINE variables may
+        # force one) so every component agrees, and recorded on
+        # RunHealth so the run reports which engines actually served it.
+        engine = resolve_engine("auto")
+        sim_engine = resolve_sim_engine("auto")
         # Observability: the tracer is shared by every instrumented
         # component; with tracing off the shared NULL_TRACER makes
         # every site a single predicted-not-taken branch, and a run's

@@ -1,50 +1,52 @@
 """Precompiled-trace execution engine for the simulator hot path.
 
-The legacy interpreter (`Core.step` driven by `Machine._run_slice`) pays
-full Python dispatch per instruction: an enum compare chain, operand
-``value_of`` calls, a dict lookup for ALU lambdas, and a ``randrange``
-call for interleave jitter.  At ~4 µs/instruction that made ``sim.core``
-95–99% of host self-time on every workload (``python -m repro.obs
-profile``).
+The reference interpreter (`Core.step` driven by `Machine._run_slice`)
+pays full Python dispatch per instruction: an enum compare chain,
+operand ``value_of`` calls, a dict lookup for ALU lambdas, and a
+``randrange`` call for interleave jitter.  This module compiles a
+core's instruction stream into generated Python functions instead, with
+operands folded into literals and latencies charged as constants
+(pin-tax variants are separate traces, selected by whether an SSB is
+attached).
 
-This module compiles each *entry index* of a core's instruction stream
-into a straight-line Python function covering the extended basic block
-starting there.  The generated code:
+**One template per opcode.**  ``_TEMPLATES`` maps each compilable
+opcode (MOV, the ALU ops, SHL/SHR, the four conditional branches, JMP,
+PAUSE, NOP, LOAD, STORE, ADDM) to a function of one instruction that
+returns its compiled semantics as a ``_Template`` of five parts:
 
-* resolves operands at compile time (register indices and folded
-  immediates become literals),
-* charges latency with compile-time constants (pin-tax variants are
-  separate traces, selected by whether an SSB is attached),
-* draws interleave jitter inline — ``r = gb(2); while r >= 2: r =
-  gb(2)`` is state-identical to ``Random.randrange(0, 2)`` (CPython's
-  ``_randbelow_with_getrandbits`` with ``n.bit_length() == 2``), so the
-  shared jitter stream advances exactly as under the interpreter,
-* executes L1-hit loads/stores/ADDMs inline against the coherence
-  directory's state dicts and the sparse page table, **bailing to the
-  interpreter before executing** whenever the access could do anything
-  beyond an L1 hit (line miss, straddle, remote state, a registered
-  ``on_memory_op`` hook, or a Machine subclass that overrides memory
-  routing),
-* returns ``(next_pc, time)`` whenever the burst bound ``lb`` is
-  reached, so the machine's event loop re-enters the ready heap at
-  exactly the cycle the legacy loop would have.
+* *guards*: ``(setup, condition)`` pairs whose conditions together say
+  an L1 hit is legal: no ``on_memory_op`` hook, no line straddle, and a
+  MESI state that needs no coherence transition;
+* *body*: the statements that execute the instruction once every guard
+  holds (inline hits stamp ``directory.now``, as the interpreter's
+  ``mem_read``/``mem_write`` do on every access);
+* *latency* in cycles, pin tax excluded;
+* *op class*, naming the CoreStats counters the instruction bumps;
+* *branch*: ``(condition, target)``, the condition ``None`` for an
+  unconditional jump, or ``None`` for plain fallthrough.
 
-Everything the block *cannot* prove cheap — DIV (may raise), fences,
-atomics, HALT, SSB pseudo-ops, ALIAS_CHECK — is left to the legacy
-interpreter: the block ends before the slow instruction and the
-machine's trampoline performs a single ``core.step()`` for it.  The
+**Two renderers** turn templates into code.  ``_render_block`` compiles
+the extended basic block at a leader into one loop: a failed guard
+ends the block before the instruction, and a branch back to the entry
+becomes ``continue``.  ``_render_micro`` compiles one instruction: its
+guards nest, and when one fails control falls through to an exact
+``core.step()`` tail.  That tail alone is the micro function of every
+opcode without a template (DIV, atomics, fences, SSB pseudo-ops,
+ALIAS_CHECK), so micro functions run slow instructions themselves; only
+HALT has none and returns to the scheduler's pop.
+
+Interleave jitter is drawn inline: ``r = gb(2); while r >= 2: r =
+gb(2)`` is state-identical to ``Random.randrange(0, 2)`` (CPython's
+``_randbelow_with_getrandbits`` with ``n.bit_length() == 2``), so the
+shared jitter stream advances exactly as under the interpreter.  The
 result is bit-identical simulation state (registers, memory, MESI
 states, stats, RNG stream, event order) at a fraction of the host time.
-
-Compiled blocks are cached globally, keyed by the instruction window's
-content signature plus the latency/jitter/tax parameters, so repeated
-runs (sweeps, benches, fleets) and identical thread bodies share the
-compilation cost.
 """
 
-from typing import List, Optional
+from functools import partial
+from typing import List, NamedTuple, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.sim.cache import LineState
 
 __all__ = ["CompiledTrace", "_LAZY"]
@@ -68,6 +70,11 @@ _CLS_LOAD, _CLS_STORE, _CLS_LOADSTORE, _CLS_PAUSE = 1, 2, 3, 4
 #: so the scheduler must not add deferred counters for it.
 _CLS_SELF = 7
 _SELF_TAG = _CLS_SELF << _MICRO_PC_BITS
+#: CoreStats counters each op class bumps, in the order block functions
+#: declare and flush their local tallies.
+_CLS_COUNTERS = {0: (), _CLS_LOAD: ("loads",), _CLS_STORE: ("stores",),
+                 _CLS_LOADSTORE: ("loads", "stores"), _CLS_PAUSE: ("pauses",)}
+_COUNTER_ORDER = ("loads", "stores", "pauses")
 
 #: Maximum instructions included in one compiled block.  Kept small:
 #: per-entry windows overlap (entry e and e+1 compile nearly the same
@@ -76,55 +83,198 @@ _SELF_TAG = _CLS_SELF << _MICRO_PC_BITS
 #: costs almost nothing at execution time.
 BLOCK_CAP = 16
 
-#: Global (block-signature -> function) cache shared across traces,
-#: machines and processes' lifetimes; cleared wholesale if it ever grows
-#: past the cap (programs are a few hundred instructions, so in practice
-#: it never does).
+#: Global (signature -> function) cache shared across traces and
+#: machines, keyed by the instruction window's content plus the
+#: latency/jitter/tax parameters, so repeated runs and identical thread
+#: bodies share the compilation cost.  Cleared wholesale if it ever
+#: grows past the cap (programs are a few hundred instructions, so in
+#: practice it never does).
 _BLOCK_CACHE: dict = {}
 _CACHE_MAX = 8192
 
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
-_ALU_BINOPS = {
-    Opcode.ADD: "+",
-    Opcode.SUB: "-",
-    Opcode.MUL: "*",
-    Opcode.AND: "&",
-    Opcode.OR: "|",
-    Opcode.XOR: "^",
+#: Interleave jitter, drawn exactly as ``Random.randrange(0, 2)`` does.
+_JITTER = ("r = gb(2)", "while r >= 2: r = gb(2)")
+
+#: The interpreter's mem_read/mem_write stamp directory.now on every
+#: access, hits included; serialization stalls charged to later
+#: transitions (e.g. an SSB flush) read it.
+_STAMP = "mach.directory.now = t"
+
+
+class _Latency(NamedTuple):
+    alu: int
+    l1: int
+    pause: int
+
+
+class _Template(NamedTuple):
+    """One instruction's compiled semantics (see the module docstring)."""
+
+    latency: int
+    guards: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()
+    body: Tuple[str, ...] = ()
+    op_class: int = 0
+    branch: Optional[Tuple[Optional[str], int]] = None
+
+
+def _val(operand) -> str:
+    """Source for ``operand.value_of(regs)`` (raw, unmasked)."""
+    if operand.is_reg:
+        return "regs[%d]" % operand.value
+    return repr(operand.value)
+
+
+def _addr(inst: Instruction) -> str:
+    """Source for ``inst.a.value_of(regs) + inst.offset``."""
+    if not inst.a.is_reg:
+        return repr(inst.a.value + inst.offset)
+    if inst.offset:
+        return "(regs[%d] + %d)" % (inst.a.value, inst.offset)
+    return "regs[%d]" % inst.a.value
+
+
+def _mov(inst: Instruction, lat: _Latency) -> _Template:
+    if inst.a.is_reg:
+        src = "regs[%d] & %d" % (inst.a.value, _WORD_MASK)
+    else:
+        src = "%d" % (inst.a.value & _WORD_MASK)
+    return _Template(lat.alu, body=("regs[%d] = %s" % (inst.rd, src),))
+
+
+def _alu(symbol: str, inst: Instruction, lat: _Latency) -> _Template:
+    b = inst.b
+    if symbol in ("<<", ">>"):
+        # Shift counts wrap at the word size, as in the interpreter.
+        count = "(regs[%d] & 63)" % b.value if b.is_reg else "%d" % (b.value & 63)
+    else:
+        count = _val(b)
+    return _Template(lat.alu, body=("regs[%d] = (%s %s %s) & %d" % (
+        inst.rd, _val(inst.a), symbol, count, _WORD_MASK),))
+
+
+def _branch(symbol: str, inst: Instruction, lat: _Latency) -> _Template:
+    cond = "%s %s %s" % (_val(inst.a), symbol, _val(inst.b))
+    return _Template(lat.alu, branch=(cond, inst.target))
+
+
+def _jmp(inst: Instruction, lat: _Latency) -> _Template:
+    return _Template(lat.alu, branch=(None, inst.target))
+
+
+def _pause(inst: Instruction, lat: _Latency) -> _Template:
+    return _Template(lat.pause, op_class=_CLS_PAUSE)
+
+
+def _nop(inst: Instruction, lat: _Latency) -> _Template:
+    return _Template(lat.alu)
+
+
+def _mem_guards(inst: Instruction, state_setup: str, state_hit: str):
+    """The hook, straddle and MESI guards shared by LOAD/STORE/ADDM."""
+    straddle = "(a0 & 63) <= %d" % (64 - inst.size) if inst.size > 1 else None
+    return ((None, "mach.on_memory_op is None"),
+            ("a0 = " + _addr(inst), straddle),
+            (state_setup, state_hit))
+
+
+def _load(inst: Instruction, lat: _Latency) -> _Template:
+    # A read hits in any non-Invalid state; the directory never stores
+    # Invalid explicitly, so membership is the whole test, and a hit
+    # causes no MESI transition.
+    return _Template(
+        lat.l1, op_class=_CLS_LOAD,
+        guards=_mem_guards(inst, "_s = dl.get(a0 >> 6)",
+                           "_s is not None and cid in _s"),
+        body=(_STAMP, "_pg = pages.get(a0 >> 12)", "o = a0 & 4095",
+              "regs[%d] = 0 if _pg is None else fb(_pg[o:o + %d], 'little')"
+              % (inst.rd, inst.size)),
+    )
+
+
+def _write_hit(inst: Instruction, latency: int, op_class: int,
+               data: str) -> _Template:
+    """A write hits in M, or in E with a silent E->M upgrade."""
+    return _Template(
+        latency, op_class=op_class,
+        guards=_mem_guards(
+            inst,
+            "_s = dl.get(a0 >> 6); _w = _s.get(cid) if _s is not None else None",
+            "_w is _M or _w is _E"),
+        body=("if _w is not _M: _s[cid] = _M", _STAMP, "_pi = a0 >> 12",
+              "_pg = pages.get(_pi)",
+              "if _pg is None: _pg = pages[_pi] = bytearray(4096)",
+              "o = a0 & 4095", "_pg[o:o + %d] = %s" % (inst.size, data)),
+    )
+
+
+def _store(inst: Instruction, lat: _Latency) -> _Template:
+    size, b = inst.size, inst.b
+    mask = (1 << (8 * size)) - 1
+    if b.is_reg:
+        data = "(regs[%d] & %d).to_bytes(%d, 'little')" % (b.value, mask, size)
+    else:
+        data = repr((b.value & mask).to_bytes(size, "little"))
+    return _write_hit(inst, lat.l1, _CLS_STORE, data)
+
+
+def _addm(inst: Instruction, lat: _Latency) -> _Template:
+    # A plain load+store pair at one PC: the read is an L1 hit in M or
+    # E, the write upgrades E->M, both at l1_hit latency.
+    size = inst.size
+    data = "((fb(_pg[o:o + %d], 'little') + %s) & %d).to_bytes(%d, 'little')" % (
+        size, _val(inst.b), (1 << (8 * size)) - 1, size)
+    return _write_hit(inst, 2 * lat.l1 + lat.alu, _CLS_LOADSTORE, data)
+
+
+#: The template table: opcode -> (template, operands it needs).  An
+#: instruction compiles only when every listed operand is present, its
+#: ``target`` is a resolved index, and (memory ops) its size is 1-8
+#: bytes on a machine whose memory routing is the base machine's.
+_TEMPLATES = {
+    Opcode.MOV: (_mov, ("rd", "a")),
+    Opcode.ADD: (partial(_alu, "+"), ("rd", "a", "b")),
+    Opcode.SUB: (partial(_alu, "-"), ("rd", "a", "b")),
+    Opcode.MUL: (partial(_alu, "*"), ("rd", "a", "b")),
+    Opcode.AND: (partial(_alu, "&"), ("rd", "a", "b")),
+    Opcode.OR: (partial(_alu, "|"), ("rd", "a", "b")),
+    Opcode.XOR: (partial(_alu, "^"), ("rd", "a", "b")),
+    Opcode.SHL: (partial(_alu, "<<"), ("rd", "a", "b")),
+    Opcode.SHR: (partial(_alu, ">>"), ("rd", "a", "b")),
+    Opcode.BEQ: (partial(_branch, "=="), ("a", "b", "target")),
+    Opcode.BNE: (partial(_branch, "!="), ("a", "b", "target")),
+    Opcode.BLT: (partial(_branch, "<"), ("a", "b", "target")),
+    Opcode.BGE: (partial(_branch, ">="), ("a", "b", "target")),
+    Opcode.JMP: (_jmp, ("target",)),
+    Opcode.PAUSE: (_pause, ()),
+    Opcode.NOP: (_nop, ()),
+    Opcode.LOAD: (_load, ("rd", "a", "size")),
+    Opcode.STORE: (_store, ("a", "b", "size")),
+    Opcode.ADDM: (_addm, ("a", "b", "size")),
 }
 
-_BRANCH_CMPS = {
-    Opcode.BEQ: "==",
-    Opcode.BNE: "!=",
-    Opcode.BLT: "<",
-    Opcode.BGE: ">=",
-}
 
-_FAST_MEM_OPS = frozenset({Opcode.LOAD, Opcode.STORE, Opcode.ADDM})
+def _template(inst: Instruction, lat: _Latency) -> _Template:
+    return _TEMPLATES[inst.op][0](inst, lat)
 
 
 def _includable(inst: Instruction, fast_mem: bool) -> bool:
-    """Can this instruction be compiled into a fast block?"""
-    op = inst.op
-    if op is Opcode.MOV:
-        return inst.a is not None and inst.rd is not None
-    if op in _ALU_BINOPS or op is Opcode.SHL or op is Opcode.SHR:
-        return inst.a is not None and inst.b is not None and inst.rd is not None
-    if op in _BRANCH_CMPS:
-        return (inst.a is not None and inst.b is not None
-                and isinstance(inst.target, int))
-    if op is Opcode.JMP:
-        return isinstance(inst.target, int)
-    if op is Opcode.PAUSE or op is Opcode.NOP:
-        return True
-    if fast_mem and op in _FAST_MEM_OPS:
-        if not isinstance(inst.size, int) or not 1 <= inst.size <= 8:
+    """Does this instruction have a template it can be compiled from?"""
+    row = _TEMPLATES.get(inst.op)
+    if row is None:
+        return False
+    for name in row[1]:
+        value = getattr(inst, name)
+        if name == "target":
+            if not isinstance(value, int):
+                return False
+        elif name == "size":
+            if not (fast_mem and isinstance(value, int) and 1 <= value <= 8):
+                return False
+        elif value is None:
             return False
-        if op is Opcode.LOAD:
-            return inst.a is not None and inst.rd is not None
-        return inst.a is not None and inst.b is not None
-    return False
+    return True
 
 
 def _scan_window(insts: List[Instruction], entry: int, fast_mem: bool):
@@ -166,231 +316,75 @@ def _inst_sig(inst: Instruction) -> tuple:
     )
 
 
-def _val_expr(operand) -> str:
-    """Source for ``operand.value_of(regs)`` (raw, unmasked)."""
-    if operand.is_reg:
-        return "regs[%d]" % operand.value
-    return repr(operand.value)
+def _render_block(insts: List[Instruction], entry: int, window: List[int],
+                  lat: _Latency, tax: int, use_jitter: bool) -> str:
+    """Source of the block function for the window starting at ``entry``.
 
+    The signature is ``_f(core, regs, t, lb, gb, dl, pages, mach)``:
+    core, its register list, the current cycle, the burst bound, the
+    jitter stream's ``getrandbits``, the coherence directory's
+    line->states dict, the sparse page dict, and the machine.  It
+    returns ``(next_pc_index, time)``.
 
-def _addr_expr(inst: Instruction) -> str:
-    """Source for ``inst.a.value_of(regs) + inst.offset``."""
-    if inst.a.is_reg:
-        if inst.offset:
-            return "(regs[%d] + %d)" % (inst.a.value, inst.offset)
-        return "regs[%d]" % inst.a.value
-    return repr(inst.a.value + inst.offset)
-
-
-def _gen_source(insts: List[Instruction], entry: int, window: List[int],
-                lat_alu: int, lat_l1: int, lat_pause: int, tax: int,
-                use_jitter: bool) -> str:
-    """Generate the block function's Python source.
-
-    The function signature is ``_f(core, regs, t, lb, gb, dl, pages,
-    mach)`` — core, its register list, the current cycle, the burst
-    bound, the jitter stream's ``getrandbits``, the coherence
-    directory's line->states dict, the sparse page dict, and the machine
-    (consulted for the dynamic ``on_memory_op`` hook and to stamp
-    ``directory.now`` on inline hits).  It returns
-    ``(next_pc_index, time)``.
-
-    The body is a single ``while True`` with one exit: every stop
-    condition sets ``ret`` (the interpreter pc to resume at) and
-    ``break``s to a shared stats-flush epilogue.  Branches whose target
-    is the entry itself compile to ``continue`` — tight loops spin
-    inside the function until the burst bound.  Keeping the per-exit
-    code to two statements (instead of a full flush) is what makes the
-    generated sources small enough to compile cheaply.
+    Instruction ``i`` runs only while ``t <= lb``, the same ``time >
+    limit`` gate the event loop applies before each step.  Every stop
+    sets ``ret`` (the pc to resume at) and ``break``s to one shared
+    stats-flush epilogue; keeping each exit to two statements is what
+    makes the generated sources small enough to compile cheaply.
     """
-    has_load = any(insts[i].op in (Opcode.LOAD, Opcode.ADDM) for i in window)
-    has_store = any(insts[i].op in (Opcode.STORE, Opcode.ADDM) for i in window)
-    has_pause = any(insts[i].op is Opcode.PAUSE for i in window)
-    has_mem = has_load or has_store
-
-    lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):"]
-    emit = lines.append
-    emit("    st = core.stats")
-    if has_mem:
-        emit("    cid = core.core_id")
-    init = "    n = 0; bc = 0"
-    if has_load:
-        init += "; nl = 0"
-    if has_store:
-        init += "; ns = 0"
-    if has_pause:
-        init += "; npa = 0"
-    emit(init)
-    emit("    while True:")
-    ind = "        "
-
-    def stop(pc: int) -> str:
-        return "ret = %d; break" % pc
-
-    def charge(lat: int) -> List[str]:
+    tpls = [(i, _template(insts[i], lat)) for i in window]
+    counters = [c for c in _COUNTER_ORDER
+                if any(c in _CLS_COUNTERS[tpl.op_class] for _, tpl in tpls)]
+    lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):",
+             "    st = core.stats"]
+    if any(tpl.guards for _, tpl in tpls):
+        lines.append("    cid = core.core_id")
+    lines.append("    " + "; ".join(
+        ["n = 0", "bc = 0"] + ["n_%s = 0" % c for c in counters]))
+    lines.append("    while True:")
+    for i, tpl in tpls:
+        stop = "ret = %d; break" % i
+        code = ["if t > lb: " + stop]
+        for setup, cond in tpl.guards:
+            if setup:
+                code.append(setup)
+            if cond:
+                code.append("if not (%s): %s" % (cond, stop))
+        code += tpl.body
+        cost = tpl.latency + tax
         if use_jitter:
-            return [
-                "r = gb(2)",
-                "while r >= 2: r = gb(2)",
-                "t += %d + r; bc += %d; n += 1" % (lat, lat),
-            ]
-        return ["t += %d; bc += %d; n += 1" % (lat, lat)]
-
-    def emit_mem_guard(inst: Instruction, i: int) -> None:
-        """Bail-to-interpreter checks shared by LOAD/STORE/ADDM."""
-        emit(ind + "a0 = %s" % _addr_expr(inst))
-        if inst.size > 1:
-            emit(ind + "if (a0 & 63) > %d or mach.on_memory_op is not None: %s"
-                 % (64 - inst.size, stop(i)))
-        else:
-            emit(ind + "if mach.on_memory_op is not None: " + stop(i))
-
-    def emit_write_state(i: int) -> None:
-        """Require M (no-op) or E (upgrade to M) in our cache, else bail."""
-        emit(ind + "_s = dl.get(a0 >> 6)")
-        emit(ind + "_w = _s.get(cid) if _s is not None else None")
-        emit(ind + "if _w is not _M:")
-        emit(ind + "    if _w is not _E: " + stop(i))
-        emit(ind + "    _s[cid] = _M")
-        # The interpreter's mem_write stamps directory.now on every
-        # access, hits included; serialization stalls charged to later
-        # transitions (e.g. an SSB flush) read it.
-        emit(ind + "mach.directory.now = t")
-
-    def emit_page_create() -> None:
-        emit(ind + "_pi = a0 >> 12")
-        emit(ind + "_pg = pages.get(_pi)")
-        emit(ind + "if _pg is None:")
-        emit(ind + "    _pg = bytearray(4096)")
-        emit(ind + "    pages[_pi] = _pg")
-
-    jmp_terminated = False
-    for i in window:
-        inst = insts[i]
-        op = inst.op
-        # Execute instruction i only if its scheduled time is within the
-        # burst bound — the same `time > limit` gate the event loop
-        # applies before each step.
-        emit(ind + "if t > lb: " + stop(i))
-
-        if op is Opcode.MOV:
-            if inst.a.is_reg:
-                emit(ind + "regs[%d] = regs[%d] & %d"
-                     % (inst.rd, inst.a.value, _WORD_MASK))
-            else:
-                emit(ind + "regs[%d] = %d"
-                     % (inst.rd, inst.a.value & _WORD_MASK))
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-        elif op in _ALU_BINOPS:
-            emit(ind + "regs[%d] = (%s %s %s) & %d"
-                 % (inst.rd, _val_expr(inst.a), _ALU_BINOPS[op],
-                    _val_expr(inst.b), _WORD_MASK))
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-        elif op is Opcode.SHL or op is Opcode.SHR:
-            shift = "<<" if op is Opcode.SHL else ">>"
-            if inst.b.is_reg:
-                count = "(regs[%d] & 63)" % inst.b.value
-            else:
-                count = "%d" % (inst.b.value & 63)
-            emit(ind + "regs[%d] = ((%s %s %s)) & %d"
-                 % (inst.rd, _val_expr(inst.a), shift, count, _WORD_MASK))
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-        elif op in _BRANCH_CMPS:
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-            cond = "%s %s %s" % (
-                _val_expr(inst.a), _BRANCH_CMPS[op], _val_expr(inst.b))
-            if inst.target == entry:
-                emit(ind + "if %s: continue" % cond)
-            else:
-                emit(ind + "if %s: %s" % (cond, stop(inst.target)))
-        elif op is Opcode.JMP:
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-            if inst.target == entry:
-                emit(ind + "continue")
-            else:
-                emit(ind + stop(inst.target))
-            jmp_terminated = True
-        elif op is Opcode.PAUSE:
-            for ln in charge(lat_pause + tax):
-                emit(ind + ln)
-            emit(ind + "npa += 1")
-        elif op is Opcode.NOP:
-            for ln in charge(lat_alu + tax):
-                emit(ind + ln)
-        elif op is Opcode.LOAD:
-            emit_mem_guard(inst, i)
-            # Read hit requires any non-Invalid state in our cache; the
-            # directory never stores Invalid explicitly, so membership
-            # is the whole test.  Hits cause no MESI transition.
-            emit(ind + "_s = dl.get(a0 >> 6)")
-            emit(ind + "if _s is None or cid not in _s: " + stop(i))
-            emit(ind + "mach.directory.now = t")
-            emit(ind + "_pg = pages.get(a0 >> 12)")
-            emit(ind + "o = a0 & 4095")
-            emit(ind + "regs[%d] = 0 if _pg is None else "
-                       "fb(_pg[o:o + %d], 'little')" % (inst.rd, inst.size))
-            for ln in charge(lat_l1 + tax):
-                emit(ind + ln)
-            emit(ind + "nl += 1")
-        elif op is Opcode.STORE:
-            emit_mem_guard(inst, i)
-            emit_write_state(i)
-            emit_page_create()
-            emit(ind + "o = a0 & 4095")
-            size_mask = (1 << (8 * inst.size)) - 1
-            if inst.b.is_reg:
-                emit(ind + "_pg[o:o + %d] = (regs[%d] & %d)"
-                           ".to_bytes(%d, 'little')"
-                     % (inst.size, inst.b.value, size_mask, inst.size))
-            else:
-                payload = (inst.b.value & size_mask).to_bytes(
-                    inst.size, "little")
-                emit(ind + "_pg[o:o + %d] = %r" % (inst.size, payload))
-            for ln in charge(lat_l1 + tax):
-                emit(ind + ln)
-            emit(ind + "ns += 1")
-        elif op is Opcode.ADDM:
-            # Plain load+store pair at one PC: the read is an L1 hit in
-            # M or E, the write upgrades E->M — both l1_hit latency.
-            emit_mem_guard(inst, i)
-            emit_write_state(i)
-            emit_page_create()
-            emit(ind + "o = a0 & 4095")
-            size_mask = (1 << (8 * inst.size)) - 1
-            emit(ind + "_pg[o:o + %d] = ((fb(_pg[o:o + %d], 'little') + %s)"
-                       " & %d).to_bytes(%d, 'little')"
-                 % (inst.size, inst.size, _val_expr(inst.b), size_mask,
-                    inst.size))
-            for ln in charge(2 * lat_l1 + lat_alu + tax):
-                emit(ind + ln)
-            emit(ind + "nl += 1")
-            emit(ind + "ns += 1")
-        else:  # pragma: no cover - scan admits only the ops above
-            raise AssertionError("unexpected op in fast window: %r" % op)
-
-    if not jmp_terminated:
-        emit(ind + stop(window[-1] + 1))
-    flush = "    st.instructions += n; st.busy_cycles += bc"
-    if has_load:
-        flush += "; st.loads += nl"
-    if has_store:
-        flush += "; st.stores += ns"
-    if has_pause:
-        flush += "; st.pauses += npa"
-    emit(flush)
-    emit("    return ret, t")
+            code += _JITTER
+        bumps = "".join("; n_%s += 1" % c for c in _CLS_COUNTERS[tpl.op_class])
+        code.append("t += %d%s; bc += %d; n += 1%s" % (
+            cost, " + r" if use_jitter else "", cost, bumps))
+        if tpl.branch is not None:
+            cond, target = tpl.branch
+            go = "continue" if target == entry else "ret = %d; break" % target
+            code.append(go if cond is None else "if %s: %s" % (cond, go))
+        lines += ["        " + line for line in code]
+    last = tpls[-1][1].branch
+    if last is None or last[0] is not None:
+        lines.append("        ret = %d; break" % (window[-1] + 1))
+    lines.append("    " + "; ".join(
+        ["st.instructions += n", "st.busy_cycles += bc"]
+        + ["st.%s += n_%s" % (c, c) for c in counters]))
+    lines.append("    return ret, t")
     return "\n".join(lines)
 
 
-def _emit_step_tail(emit, i: int, use_jitter: bool, ind: str) -> None:
-    """Emit the exact-interpreter fallback: one ``core.step()``.
+def _micro_return(cost: int, op_class: int, nxt: int,
+                  use_jitter: bool) -> Tuple[str, ...]:
+    tag = (op_class << _MICRO_PC_BITS) | nxt
+    if use_jitter:
+        return _JITTER + (
+            "return ((t + %d + r) << 25) | (r << 24) | %d" % (cost, tag),)
+    return ("return ((t + %d) << 25) | %d" % (cost, tag),)
 
-    Reproduces the legacy pop bit-for-bit: the machine clock is set to
+
+def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
+    """The exact-interpreter fallback: one ``core.step()``.
+
+    Reproduces the reference pop bit-for-bit: the machine clock is set to
     the instruction's scheduled time (the coherence directory and PMU
     hooks read it), the core's pc is synced (``step`` fetches through
     it, and sampling observes it), the interleave jitter is drawn
@@ -398,178 +392,74 @@ def _emit_step_tail(emit, i: int, use_jitter: bool, ind: str) -> None:
     ``max(1, latency)``.  ``core.step()`` updates CoreStats itself, so
     the return is tagged ``_CLS_SELF`` to skip the deferred counters.
     """
-    emit(ind + "core.pc_index = %d" % i)
-    emit(ind + "m = core.machine")
-    emit(ind + "m.cycle = t")
-    emit(ind + "L = core.step()")
+    head = ("core.pc_index = %d" % i, "core.machine.cycle = t",
+            "L = core.step()")
     if use_jitter:
-        emit(ind + "r = gb(2)")
-        emit(ind + "while r >= 2: r = gb(2)")
-        emit(ind + "L = L + r")
-        emit(ind + "return ((t + (L if L > 0 else 1)) << 25) | (r << 24)"
-             " | %d | core.pc_index" % _SELF_TAG)
-    else:
-        emit(ind + "return ((t + (L if L > 0 else 1)) << 25)"
-             " | %d | core.pc_index" % _SELF_TAG)
+        return head + _JITTER + (
+            "L = L + r",
+            "return ((t + (L if L > 0 else 1)) << 25) | (r << 24)"
+            " | %d | core.pc_index" % _SELF_TAG)
+    return head + ("return ((t + (L if L > 0 else 1)) << 25)"
+                   " | %d | core.pc_index" % _SELF_TAG,)
 
 
-def _gen_step_micro_source(i: int, use_jitter: bool) -> str:
-    """Micro function that simply runs instruction ``i`` on the
-    interpreter (exact semantics for atomics, fences, SSB pseudo-ops,
-    DIV, ALIAS_CHECK — anything without an inline fast path)."""
-    lines = ["def _m(regs, t, gb, core, dl, pages):"]
-    _emit_step_tail(lines.append, i, use_jitter, "    ")
-    return "\n".join(lines)
+def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
+                  tax: int, use_jitter: bool) -> str:
+    """Source of the micro function for instruction ``i``.
 
-
-def _gen_micro_source(insts: List[Instruction], i: int, lat_alu: int,
-                      lat_l1: int, lat_pause: int, tax: int,
-                      use_jitter: bool) -> str:
-    """Generate the single-instruction micro function at index ``i``.
-
-    Signature ``_m(regs, t, gb, core, dl, pages)``; returns the encoded
-    ``(time << 25) | (jitter << 24) | (op_class << 21) | next_pc``.
-    Memory operations take an inline L1-hit fast path when legal
-    (resident line, no straddle, no ``on_memory_op`` hook) and otherwise
-    fall back to one exact ``core.step()`` (see ``_emit_step_tail``) —
-    they never bail to the caller.  Unlike block functions there is no
-    loop, no burst-bound check and no stats flush: the caller guarantees
-    the instruction's time is within the burst bound and accumulates
-    stats itself from the op class, so a one-instruction step costs a
-    fraction of a block call.
+    The signature is ``_f(regs, t, gb, core, dl, pages)``; it returns
+    the encoded ``(time << 25) | (jitter << 24) | (op_class << 21) |
+    next_pc``.  Unlike block functions there is no loop, no burst-bound
+    check and no stats flush: the caller guarantees the instruction's
+    time is within the burst bound and accumulates stats itself from
+    the op class, so a one-instruction step costs a fraction of a block
+    call.  ``inst`` is ``None`` for an opcode without a template, whose
+    micro function is the exact ``core.step()`` tail alone.
     """
-    inst = insts[i]
-    op = inst.op
-    lines = ["def _m(regs, t, gb, core, dl, pages):"]
-    emit = lines.append
-
-    def tail(lat: int, cls: int, nxt: int, ind: str) -> None:
-        tag = (cls << _MICRO_PC_BITS) | nxt
-        if use_jitter:
-            emit(ind + "r = gb(2)")
-            emit(ind + "while r >= 2: r = gb(2)")
-            emit(ind + "return ((t + %d + r) << 25) | (r << 24) | %d"
-                 % (lat, tag))
-        else:
-            emit(ind + "return ((t + %d) << 25) | %d" % (lat, tag))
-
-    nxt = i + 1
-    if op is Opcode.MOV:
-        if inst.a.is_reg:
-            emit("    regs[%d] = regs[%d] & %d"
-                 % (inst.rd, inst.a.value, _WORD_MASK))
-        else:
-            emit("    regs[%d] = %d" % (inst.rd, inst.a.value & _WORD_MASK))
-        tail(lat_alu + tax, 0, nxt, "    ")
-    elif op in _ALU_BINOPS:
-        emit("    regs[%d] = (%s %s %s) & %d"
-             % (inst.rd, _val_expr(inst.a), _ALU_BINOPS[op],
-                _val_expr(inst.b), _WORD_MASK))
-        tail(lat_alu + tax, 0, nxt, "    ")
-    elif op is Opcode.SHL or op is Opcode.SHR:
-        shift = "<<" if op is Opcode.SHL else ">>"
-        if inst.b.is_reg:
-            count = "(regs[%d] & 63)" % inst.b.value
-        else:
-            count = "%d" % (inst.b.value & 63)
-        emit("    regs[%d] = ((%s %s %s)) & %d"
-             % (inst.rd, _val_expr(inst.a), shift, count, _WORD_MASK))
-        tail(lat_alu + tax, 0, nxt, "    ")
-    elif op in _BRANCH_CMPS:
-        emit("    if %s %s %s:"
-             % (_val_expr(inst.a), _BRANCH_CMPS[op], _val_expr(inst.b)))
-        tail(lat_alu + tax, 0, inst.target, "        ")
-        tail(lat_alu + tax, 0, nxt, "    ")
-    elif op is Opcode.JMP:
-        tail(lat_alu + tax, 0, inst.target, "    ")
-    elif op is Opcode.PAUSE:
-        tail(lat_pause + tax, _CLS_PAUSE, nxt, "    ")
-    elif op is Opcode.NOP:
-        tail(lat_alu + tax, 0, nxt, "    ")
-    else:  # LOAD / STORE / ADDM (scan admits nothing else)
-        # Fast path guards nest (hook, straddle, residency/state); any
-        # failure falls through to the exact interpreter step below,
-        # before any state is mutated or jitter drawn.
-        emit("    if core.machine.on_memory_op is None:")
-        emit("        cid = core.core_id")
-        emit("        a0 = %s" % _addr_expr(inst))
-        ind = "        "
-        if inst.size > 1:
-            emit("        if (a0 & 63) <= %d:" % (64 - inst.size))
-            ind = "            "
-        if op is Opcode.LOAD:
-            emit(ind + "_s = dl.get(a0 >> 6)")
-            emit(ind + "if _s is not None and cid in _s:")
-            ind2 = ind + "    "
-            # The interpreter's mem_read stamps directory.now on every
-            # access, hits included; serialization stalls charged to
-            # later transitions (e.g. an SSB flush) read it.
-            emit(ind2 + "core.machine.directory.now = t")
-            emit(ind2 + "_pg = pages.get(a0 >> 12)")
-            emit(ind2 + "o = a0 & 4095")
-            emit(ind2 + "regs[%d] = 0 if _pg is None else "
-                 "fb(_pg[o:o + %d], 'little')" % (inst.rd, inst.size))
-            tail(lat_l1 + tax, _CLS_LOAD, nxt, ind2)
-        else:
-            emit(ind + "_s = dl.get(a0 >> 6)")
-            emit(ind + "_w = _s.get(cid) if _s is not None else None")
-            emit(ind + "if _w is _M or _w is _E:")
-            ind2 = ind + "    "
-            emit(ind2 + "core.machine.directory.now = t")
-            emit(ind2 + "if _w is not _M: _s[cid] = _M")
-            emit(ind2 + "_pi = a0 >> 12")
-            emit(ind2 + "_pg = pages.get(_pi)")
-            emit(ind2 + "if _pg is None:")
-            emit(ind2 + "    _pg = bytearray(4096)")
-            emit(ind2 + "    pages[_pi] = _pg")
-            emit(ind2 + "o = a0 & 4095")
-            size_mask = (1 << (8 * inst.size)) - 1
-            if op is Opcode.STORE:
-                if inst.b.is_reg:
-                    emit(ind2 + "_pg[o:o + %d] = (regs[%d] & %d)"
-                         ".to_bytes(%d, 'little')"
-                         % (inst.size, inst.b.value, size_mask, inst.size))
-                else:
-                    payload = (inst.b.value & size_mask).to_bytes(
-                        inst.size, "little")
-                    emit(ind2 + "_pg[o:o + %d] = %r" % (inst.size, payload))
-                tail(lat_l1 + tax, _CLS_STORE, nxt, ind2)
-            else:  # ADDM
-                emit(ind2 + "_pg[o:o + %d] = ((fb(_pg[o:o + %d], 'little')"
-                     " + %s) & %d).to_bytes(%d, 'little')"
-                     % (inst.size, inst.size, _val_expr(inst.b), size_mask,
-                        inst.size))
-                tail(2 * lat_l1 + lat_alu + tax, _CLS_LOADSTORE, nxt, ind2)
-        _emit_step_tail(emit, i, use_jitter, "    ")
+    lines = ["def _f(regs, t, gb, core, dl, pages):"]
+    if inst is not None:
+        tpl = _template(inst, lat)
+        ind = "    "
+        if tpl.guards:
+            lines.append(ind + "mach = core.machine; cid = core.core_id")
+        for setup, cond in tpl.guards:
+            if setup:
+                lines.append(ind + setup)
+            if cond:
+                lines.append(ind + "if %s:" % cond)
+                ind += "    "
+        code = list(tpl.body)
+        cost = tpl.latency + tax
+        nxt = i + 1
+        if tpl.branch is not None:
+            cond, target = tpl.branch
+            if cond is None:
+                nxt = target
+            else:
+                code.append("if %s:" % cond)
+                code += ["    " + line for line in _micro_return(
+                    cost, tpl.op_class, target, use_jitter)]
+        code += _micro_return(cost, tpl.op_class, nxt, use_jitter)
+        lines += [ind + line for line in code]
+        if not tpl.guards:
+            return "\n".join(lines)
+    # Reached when a guard fails (before any state is mutated or jitter
+    # drawn), and the whole body of an untemplated opcode's function.
+    lines += ["    " + line for line in _step_tail(i, use_jitter)]
     return "\n".join(lines)
 
 
-def _exec_namespace() -> dict:
-    return {
-        "_M": LineState.MODIFIED,
-        "_E": LineState.EXCLUSIVE,
-        "fb": int.from_bytes,
-    }
+def _compile(key: tuple, filename: str, render, *args):
+    """The cached function for ``key``, rendering and compiling on a miss.
 
-
-def _compile_window(insts: List[Instruction], entry: int, window: List[int],
-                    lat_alu: int, lat_l1: int, lat_pause: int, tax: int,
-                    use_jitter: bool):
-    key = (
-        entry,
-        tax,
-        use_jitter,
-        lat_alu,
-        lat_l1,
-        lat_pause,
-        tuple(_inst_sig(insts[i]) for i in window),
-    )
+    ``filename`` names the generated code's shape (``<trace-block>`` or
+    ``<trace-micro>``), so profilers can tell compiled code apart.
+    """
     fn = _BLOCK_CACHE.get(key)
     if fn is None:
-        source = _gen_source(insts, entry, window, lat_alu, lat_l1,
-                             lat_pause, tax, use_jitter)
-        namespace = _exec_namespace()
-        exec(compile(source, "<trace-block>", "exec"), namespace)
+        namespace = {"_M": LineState.MODIFIED, "_E": LineState.EXCLUSIVE,
+                     "fb": int.from_bytes}
+        exec(compile(render(*args), filename, "exec"), namespace)
         fn = namespace["_f"]
         if len(_BLOCK_CACHE) >= _CACHE_MAX:
             _BLOCK_CACHE.clear()
@@ -587,9 +477,8 @@ class CompiledTrace:
     the common case in parallel phases, not the exception.
     """
 
-    __slots__ = ("insts", "table", "micro", "leaders", "_lat_alu",
-                 "_lat_l1", "_lat_pause", "_tax", "_use_jitter",
-                 "_fast_mem")
+    __slots__ = ("insts", "table", "micro", "leaders", "_lat", "_tax",
+                 "_use_jitter", "_fast_mem")
 
     def __init__(self, insts: List[Instruction], latency, taxed: bool,
                  use_jitter: bool, fast_mem: bool):
@@ -603,9 +492,7 @@ class CompiledTrace:
             self.micro: List = [_LAZY] * len(insts)
         else:  # pragma: no cover - programs are a few hundred insns
             self.micro = [None] * len(insts)
-        self._lat_alu = latency.alu
-        self._lat_l1 = latency.l1_hit
-        self._lat_pause = latency.pause
+        self._lat = _Latency(latency.alu, latency.l1_hit, latency.pause)
         self._tax = latency.pin_tax if taxed else 0
         self._use_jitter = use_jitter
         self._fast_mem = fast_mem
@@ -620,8 +507,7 @@ class CompiledTrace:
             flags[0] = 1
         n = len(insts)
         for i, inst in enumerate(insts):
-            op = inst.op
-            if op in _BRANCH_CMPS or op is Opcode.JMP:
+            if inst.op in BRANCH_OPS:
                 if isinstance(inst.target, int) and 0 <= inst.target <= n:
                     flags[inst.target] = 1
             if not _includable(inst, fast_mem) and i + 1 <= n:
@@ -631,17 +517,16 @@ class CompiledTrace:
 
     def resolve(self, entry: int):
         """Compile (or reject) the block at ``entry``; memoized."""
-        if not self.leaders[entry]:
-            self.table[entry] = None
-            return None
-        window = _scan_window(self.insts, entry, self._fast_mem)
-        if not window:
-            fn = None
-        else:
-            fn = _compile_window(
-                self.insts, entry, window, self._lat_alu, self._lat_l1,
-                self._lat_pause, self._tax, self._use_jitter,
-            )
+        fn = None
+        if self.leaders[entry]:
+            insts = self.insts
+            window = _scan_window(insts, entry, self._fast_mem)
+            if window:
+                key = (entry, self._tax, self._use_jitter, self._lat,
+                       tuple(_inst_sig(insts[i]) for i in window))
+                fn = _compile(key, "<trace-block>", _render_block, insts,
+                              entry, window, self._lat, self._tax,
+                              self._use_jitter)
         self.table[entry] = fn
         return fn
 
@@ -649,42 +534,25 @@ class CompiledTrace:
         """Compile the micro function at ``i``; memoized.
 
         Every instruction gets a micro function except HALT (the
-        scheduler's legacy pop handles the ready-queue removal): inline
-        ops compile to fast bodies, everything else to an exact
-        ``core.step()`` call — so micro chains flow through slow
+        scheduler's legacy pop handles the ready-queue removal):
+        templated ops compile to inline bodies, everything else to an
+        exact ``core.step()`` call — so micro chains flow through slow
         instructions without returning to the scheduler.
         """
         inst = self.insts[i]
         if inst.op is Opcode.HALT:
             fn = None
         elif _includable(inst, self._fast_mem):
-            key = ("m", i, self._tax, self._use_jitter, self._lat_alu,
-                   self._lat_l1, self._lat_pause, _inst_sig(inst))
-            fn = _BLOCK_CACHE.get(key)
-            if fn is None:
-                source = _gen_micro_source(
-                    self.insts, i, self._lat_alu, self._lat_l1,
-                    self._lat_pause, self._tax, self._use_jitter,
-                )
-                namespace = _exec_namespace()
-                exec(compile(source, "<trace-micro>", "exec"), namespace)
-                fn = namespace["_m"]
-                if len(_BLOCK_CACHE) >= _CACHE_MAX:
-                    _BLOCK_CACHE.clear()
-                _BLOCK_CACHE[key] = fn
+            key = ("m", i, self._tax, self._use_jitter, self._lat,
+                   _inst_sig(inst))
+            fn = _compile(key, "<trace-micro>", _render_micro, inst, i,
+                          self._lat, self._tax, self._use_jitter)
         else:
             # Interpreter-exact micro: the source depends only on the
             # index and jitter flag, so one cache entry serves every
             # slow opcode at this index across traces and tax variants.
-            key = ("ms", i, self._use_jitter)
-            fn = _BLOCK_CACHE.get(key)
-            if fn is None:
-                source = _gen_step_micro_source(i, self._use_jitter)
-                namespace = _exec_namespace()
-                exec(compile(source, "<trace-micro>", "exec"), namespace)
-                fn = namespace["_m"]
-                if len(_BLOCK_CACHE) >= _CACHE_MAX:
-                    _BLOCK_CACHE.clear()
-                _BLOCK_CACHE[key] = fn
+            fn = _compile(("ms", i, self._use_jitter), "<trace-micro>",
+                          _render_micro, None, i, self._lat, 0,
+                          self._use_jitter)
         self.micro[i] = fn
         return fn

@@ -4,10 +4,15 @@ The acceleration engines (``repro.accel``) change *how* the hot paths
 run — struct-of-arrays numpy kernels vs scalar loops for the record
 plane, precompiled traces vs the per-instruction interpreter for the
 simulator — and must never change *what* they compute.  This module
-pins that contract three ways:
+pins that contract five ways:
 
-* the full golden grid (``tests/golden/run_built_golden.json``) replayed
+* the golden grid (``tests/golden/run_built_golden.json``) replayed
   under every engine combination, byte-for-byte;
+* every registry workload plus the racy variants replayed under both
+  simulator engines;
+* a differential test running hypothesis-generated multi-threaded
+  programs on ``Machine(engine="interp")`` and ``engine="trace"`` and
+  comparing the whole machine state at every pause;
 * hypothesis property tests driving the vectorized detection kernels
   against their scalar twins on adversarial random batches;
 * a whole-pipeline equivalence check on randomized record streams
@@ -21,6 +26,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -29,6 +35,14 @@ from golden_runbuilt import assert_cell_matches, golden_cells, load_golden  # no
 from repro.accel import numpy_available, resolve_engine, resolve_sim_engine  # noqa: E402
 from repro.core.config import LaserConfig  # noqa: E402
 from repro.core.detect.linemodel import CacheLineModel, SharingType  # noqa: E402
+from repro.core.laser import Laser  # noqa: E402
+from repro.core.repair.ssb import SoftwareStoreBuffer  # noqa: E402
+from repro.isa.assembler import Assembler  # noqa: E402
+from repro.isa.instructions import Instruction, Opcode, imm, reg  # noqa: E402
+from repro.isa.program import Program  # noqa: E402
+from repro.sim.core import CoreStats  # noqa: E402
+from repro.sim.machine import Machine  # noqa: E402
+from repro.workloads import get_workload, workload_names  # noqa: E402
 
 np = pytest.importorskip("numpy") if numpy_available() else None
 
@@ -75,33 +89,329 @@ def test_golden_grid_is_engine_invariant(engine, sim_engine, monkeypatch):
 
 
 @pytest.mark.parametrize("engine,sim_engine", ENGINE_COMBOS)
-def test_run_health_reports_resolved_engines(engine, sim_engine):
+def test_run_health_reports_resolved_engines(engine, sim_engine, monkeypatch):
     """RunHealth carries engine provenance without entering as_dict."""
-    from repro.core.laser import Laser
-    from repro.workloads import get_workload
-
     _needs_numpy(engine)
-    cfg = LaserConfig().replace(engine=engine, sim_engine=sim_engine)
-    result = Laser(cfg).run_workload(get_workload("histogram'"))
+    monkeypatch.setenv("LASER_ENGINE", engine)
+    monkeypatch.setenv("LASER_SIM_ENGINE", sim_engine)
+    result = Laser(LaserConfig()).run_workload(get_workload("histogram'"))
     assert result.health.engine == engine
     assert result.health.sim_engine == sim_engine
     assert "engine" not in result.health.as_dict()
     assert "sim_engine" not in result.health.as_dict()
 
 
-def test_config_rejects_unknown_engines():
+def test_engine_resolution_rejects_unknown_names(monkeypatch):
     with pytest.raises(ValueError):
-        LaserConfig(engine="fortran")
+        resolve_engine("fortran")
     with pytest.raises(ValueError):
-        LaserConfig(sim_engine="jit")
+        resolve_sim_engine("jit")
+    monkeypatch.setenv("LASER_ENGINE", "fortran")
+    with pytest.raises(ValueError):
+        resolve_engine("auto")
+
+
+# ----------------------------------------------------------------------
+# Registry replay: every workload under both simulator engines
+# ----------------------------------------------------------------------
+
+def _stats(core):
+    return {slot: getattr(core.stats, slot) for slot in CoreStats.__slots__}
+
+
+def _replay(name, sim_engine, monkeypatch):
+    monkeypatch.setenv("LASER_SIM_ENGINE", sim_engine)
+    result = Laser(LaserConfig()).run_workload(get_workload(name), scale=0.25)
+    assert result.health.sim_engine == sim_engine
+    return {
+        "cycles": result.cycles,
+        "repaired": result.repaired,
+        "report": result.report.render(),
+        "health": result.health.as_dict(),
+        "core_stats": [_stats(core) for core in result.machine.cores],
+    }
+
+
+@pytest.mark.services
+@pytest.mark.parametrize(
+    "name", workload_names() + ["racy_counter", "racy_handoff"])
+def test_registry_replays_identically_under_both_sim_engines(name,
+                                                             monkeypatch):
+    """LASER on, seed 0, scale 0.25: the trace engine changes nothing."""
+    assert _replay(name, "trace", monkeypatch) == \
+        _replay(name, "interp", monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# Differential programs: trace engine vs interpreter on generated code
+# ----------------------------------------------------------------------
+
+#: Base of the 1-3 shared lines.  The second line ends a page, so an
+#: access straddling out of it crosses a page boundary as well.
+_SHARED = 0x10000F80
+#: Base of thread ``tid``'s two private lines, at ``_PRIVATE + tid *
+#: 0x10000``.  The first ends a page, so straddling accesses cross pages.
+_PRIVATE = 0x20000FC0
+_SIZES = (1, 2, 4, 8)
+_ALU_OPS = ("add", "sub", "mul", "and_", "or_", "xor", "shl", "shr")
+_BRANCH_OPS = ("beq", "bne", "blt", "bge")
+
+# r0-r7 carry data; r8/r9 hold the shared/private bases, r10 counts
+# loop trips.  Small values double as shift counts past 63.  Strategies
+# are built once here: building one per draw costs more than the draw.
+_regs = st.integers(0, 7).map("r{}".format)
+_values = st.one_of(st.integers(-4, 130), st.integers(0, 2**64 - 1))
+_sources = st.one_of(_regs, _values)
+_operands = st.integers(0, 7).map(reg) | _values.map(imm)
+_divisors = st.integers(1, 9) | st.integers(1, 2**64 - 1)
+_sizes = st.sampled_from(_SIZES)
+_line_of = {n: st.integers(0, n - 1) for n in (1, 2, 3)}
+#: Offsets within a line: the edges where a ``size``-byte access just
+#: fits or just straddles, and anywhere.
+_within = {size: st.one_of(st.sampled_from((0, 63, 64 - size, 65 - size)),
+                           st.integers(0, 63)) for size in _SIZES}
+_small = st.integers(1, 3)
+_one_in_five = st.integers(0, 4)
+_simple_kinds = st.sampled_from(("mov", "alu", "alu", "pause", "nop"))
+_alu_ops = st.sampled_from(_ALU_OPS)
+_branch_ops = st.sampled_from(_BRANCH_OPS)
+_memory_kinds = st.sampled_from(("load", "load", "store", "addm"))
+_slow_kinds = st.sampled_from(("xadd", "fence", "div"))
+#: Core 0 with a store buffer attached also stores to the shared lines
+#: through it (the assembler has no SSB pseudo-ops; the rewriter emits
+#: them as plain Instructions too).
+_ssb_slow_kinds = st.sampled_from(("xadd", "fence", "div", "ssb_store",
+                                   "ssb_store", "ssb_store", "ssb_flush"))
+_item_kinds = st.sampled_from(("simple", "memory", "memory", "slow",
+                               "branch", "loop"))
+
+
+class _Thread:
+    """Assembler state while one generated thread is drawn."""
+
+    def __init__(self, draw, tid, lines, ssb):
+        self.draw = draw
+        self.asm = Assembler("t%d" % tid)
+        self.lines = lines
+        self.ssb = ssb
+        self.labels = 0
+        self.pending = []  # (top-level item index, forward label)
+
+    def label(self):
+        self.labels += 1
+        return "L%d" % self.labels
+
+    def offset(self, lines, size):
+        return 64 * self.draw(_line_of[lines]) + self.draw(_within[size])
+
+
+def _emit_simple(th):
+    draw, asm = th.draw, th.asm
+    kind = draw(_simple_kinds)
+    if kind == "mov":
+        asm.mov(draw(_regs), draw(_sources))
+    elif kind == "alu":
+        getattr(asm, draw(_alu_ops))(draw(_regs), draw(_sources),
+                                     draw(_sources))
+    else:
+        getattr(asm, kind)()
+
+
+def _emit_memory(th):
+    draw, asm = th.draw, th.asm
+    size = draw(_sizes)
+    if draw(st.booleans()):
+        base, off = "r8", th.offset(th.lines, size)
+        if draw(_one_in_five) == 0:
+            base = _SHARED  # an immediate address
+    else:
+        base, off = "r9", th.offset(2, size)
+    kind = draw(_memory_kinds)
+    if kind == "load":
+        asm.load(draw(_regs), base, offset=off, size=size)
+    else:
+        getattr(asm, kind)(base, draw(_sources), offset=off, size=size)
+
+
+def _emit_slow(th):
+    """Opcodes without a template: the interpreter runs them."""
+    draw, asm = th.draw, th.asm
+    kind = draw(_ssb_slow_kinds if th.ssb else _slow_kinds)
+    size = draw(_sizes)
+    if kind == "xadd":
+        asm.xadd(draw(_regs), "r8", draw(_sources),
+                 offset=th.offset(th.lines, size), size=size)
+    elif kind == "fence":
+        asm.fence()
+    elif kind == "div":
+        asm.div(draw(_regs), draw(_sources), draw(_divisors))
+    elif kind == "ssb_store":
+        asm._emit(Instruction(Opcode.SSB_STORE, a=reg(8), b=draw(_operands),
+                              size=size, offset=th.offset(th.lines, size)))
+    else:
+        asm._emit(Instruction(Opcode.SSB_FLUSH))
+
+
+def _emit_forward_branch(th, index):
+    draw, asm = th.draw, th.asm
+    label = th.label()
+    if draw(_one_in_five) == 0:
+        asm.jmp(label)
+    else:
+        getattr(asm, draw(_branch_ops))(draw(_regs), draw(_sources), label)
+    th.pending.append((index + draw(_small), label))
+
+
+def _emit_loop(th):
+    """A bounded loop; its back edge is the entry of the body's block."""
+    draw, asm = th.draw, th.asm
+    top = th.label()
+    asm.mov("r10", draw(_small))
+    asm.label(top)
+    for _ in range(draw(st.integers(1, 4))):
+        draw(_loop_items)(th)
+    asm.sub("r10", "r10", 1)
+    if draw(st.booleans()):
+        asm.bne("r10", 0, top)
+    else:
+        done = th.label()
+        asm.beq("r10", 0, done)
+        asm.jmp(top)
+        asm.label(done)
+
+
+_loop_items = st.sampled_from((_emit_simple, _emit_memory, _emit_memory,
+                               _emit_slow))
+
+
+@st.composite
+def _threads(draw, tid, lines, ssb):
+    th = _Thread(draw, tid, lines, ssb)
+    asm = th.asm
+    asm.mov("r8", _SHARED)
+    asm.mov("r9", _PRIVATE + tid * 0x10000)
+    for _ in range(draw(st.integers(0, 4))):
+        asm.mov(draw(_regs), draw(_values))
+    for index in range(draw(st.integers(1, 8))):
+        for label in [lb for at, lb in th.pending if at == index]:
+            asm.label(label)
+        kind = draw(_item_kinds)
+        if kind == "branch":
+            _emit_forward_branch(th, index)
+        else:
+            {"simple": _emit_simple, "memory": _emit_memory,
+             "slow": _emit_slow, "loop": _emit_loop}[kind](th)
+    for label in [lb for at, lb in th.pending if at > index]:
+        asm.label(label)
+    asm.halt()
+    return asm.build()
+
+
+class _Case:
+    def __init__(self, threads, **settings):
+        self.program = Program("fuzz", threads)
+        self.__dict__.update(settings)
+
+    def __repr__(self):
+        code = "\n".join(
+            "  t%d: %r" % (tid, thread.instructions)
+            for tid, thread in enumerate(self.program.threads))
+        knobs = {k: v for k, v in self.__dict__.items() if k != "program"}
+        return "_Case(%r\n%s)" % (knobs, code)
+
+
+@st.composite
+def _cases(draw):
+    lines = draw(st.integers(1, 3))
+    ssb = draw(st.booleans())
+    threads = [draw(_threads(tid, lines, ssb and tid == 0))
+               for tid in range(draw(st.integers(1, 4)))]
+    return _Case(
+        threads, ssb=ssb, jitter=draw(st.booleans()),
+        seed=draw(st.integers(0, 3)),
+        hitm_stall=draw(st.sampled_from((0, 1, 40))),
+        memop_stall=draw(st.none() | st.integers(0, 3)),
+        pauses=sorted(draw(st.lists(st.integers(1, 3000), max_size=4))),
+    )
+
+
+def _machine_state(machine, result, log):
+    directory = machine.directory
+    ssb = machine.cores[0].ssb
+    return {
+        "cycles": (result.cycles, result.finished, machine.cycle),
+        "ready": sorted(getattr(machine, "_ready", [])),
+        "registers": [list(core.registers) for core in machine.cores],
+        "pcs": [(core.pc_index, core.state) for core in machine.cores],
+        "stats": [_stats(core) for core in machine.cores],
+        "pages": {k: bytes(v) for k, v in machine.memory._pages.items()},
+        "lines": {k: dict(v) for k, v in directory._lines.items()},
+        "line_busy_until": dict(directory._line_busy_until),
+        "hitm": (directory.hitm_count, directory.load_hitm_count,
+                 directory.store_hitm_count,
+                 directory.serialization_stall_cycles),
+        "directory_now": directory.now,
+        "stalls": machine.injected_stall_cycles,
+        "htm": (machine.htm.commits, machine.htm.aborts),
+        "ssb": None if ssb is None else (
+            dict(ssb._bytes),
+            [getattr(ssb.stats, slot) for slot in ssb.stats.__slots__]),
+        "jitter_rng": machine._jitter_rng.getstate(),
+        "hook_log": list(log),
+    }
+
+
+def _run_case(case, engine):
+    """Per-slice machine states of one case under one engine."""
+    machine = Machine(case.program, seed=case.seed, jitter=case.jitter,
+                      engine=engine)
+    if case.ssb:
+        machine.cores[0].ssb = SoftwareStoreBuffer(machine, core_id=0)
+    log = []
+
+    def on_hitm(core_id, inst, addr, is_write, cycle):
+        log.append(("hitm", core_id, inst.pc, addr, is_write, cycle))
+        return case.hitm_stall if len(log) % 2 else 0
+
+    def on_memory_op(core_id, inst, cycle):
+        log.append(("memop", core_id, inst.pc, cycle))
+        return case.memop_stall
+
+    machine.on_hitm = on_hitm
+    if case.memop_stall is not None:
+        machine.on_memory_op = on_memory_op
+    states = []
+    for until in case.pauses:
+        states.append(_machine_state(
+            machine, machine.run(until_cycle=until), log))
+    states.append(_machine_state(machine, machine.run(), log))
+    return states
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_cases())
+def test_trace_engine_matches_interpreter_on_generated_programs(case):
+    """Every slice of a generated program leaves identical machine state.
+
+    The programs mix every templated opcode (register-count shifts
+    included) with accesses of 1/2/4/8 bytes that straddle lines and
+    pages, bounded loops, untemplated XADD/FENCE/DIV and, on core 0
+    with a store buffer attached, SSB stores to the shared lines and
+    SSB flushes (whose coherence transitions read ``directory.now``).
+    """
+    want = _run_case(case, "interp")
+    got = _run_case(case, "trace")
+    assert len(got) == len(want)
+    for index, (g, w) in enumerate(zip(got, want)):
+        for key in w:
+            assert g[key] == w[key], "slice %d differs in %s" % (index, key)
 
 
 # ----------------------------------------------------------------------
 # Property tests: vectorized kernels vs their scalar twins
 # ----------------------------------------------------------------------
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 # A handful of cache lines so random batches collide constantly (the
 # sequential-per-line chain is the hard part of the vectorization).
@@ -150,11 +460,8 @@ def test_pipeline_batch_matches_scalar_on_random_records(seed):
     """
     from repro.core.detect.pipeline import DetectionPipeline
     from repro.pebs.events import StrippedRecord
-    from repro.workloads import get_workload
 
     built = get_workload("histogram'").build(heap_offset=0, seed=0, scale=1.0)
-    from repro.sim.machine import Machine
-
     machine = Machine(built.program, seed=0, allocator=built.allocator)
     rng = random.Random(seed)
     pcs = built.program.all_pcs()
@@ -205,8 +512,6 @@ def test_numpy_engine_hot_path_floor():
 
     from repro.core.detect.pipeline import DetectionPipeline
     from repro.pebs.events import StrippedRecord
-    from repro.sim.machine import Machine
-    from repro.workloads import get_workload
 
     built = get_workload("histogram'").build(heap_offset=0, seed=0,
                                              scale=1.0)
