@@ -8,15 +8,16 @@ the crash supervisor restarts a dead detector — because they actuate
 disjoint state: the crash ladder switches pipeline stages off, the
 control ladder rescales sampling, cadence and admission.
 
-Per mode, the knob table (each step relative to the configured base):
+Per mode, the knob table (each step relative to the configured base;
+the SAV is capped at :data:`MAX_SAV`):
 
 =============  ==========  ============  ==============================
 mode           SAV factor  poll factor   admission budget per interval
 =============  ==========  ============  ==============================
 NOMINAL        x1          x1            unlimited
-THROTTLED      x step      x step        ``budget_records`` x poll factor
-SHEDDING       x step^2    x step^2      ``budget_records/4`` x poll factor
-PASSTHROUGH    x step^3    x step^3      0 (monitoring parked)
+THROTTLED      x 2         x 2           ``budget_records`` x poll factor
+SHEDDING       x 4         x 4           ``budget_records/4`` x poll factor
+PASSTHROUGH    x 8         x 8           0 (monitoring parked)
 =============  ==========  ============  ==============================
 
 Escalation needs ``escalate_after`` *consecutive* overloaded intervals
@@ -24,7 +25,10 @@ Escalation needs ``escalate_after`` *consecutive* overloaded intervals
 last resort); de-escalation needs ``recover_after`` consecutive calm
 intervals.  Intervals that are neither overloaded nor calm reset both
 streaks: the gap between the overload and recovery thresholds is the
-hysteresis band that keeps the ladder from flapping.
+hysteresis band that keeps the ladder from flapping.  The thresholds
+(:data:`OVERLOAD_RATIO`, :data:`RECOVER_RATIO`), the knob steps and the
+SAV cap are module constants; only the streak lengths and the budget
+come from the run config.
 
 The overload signal is *normalized* record flow: records offered by
 the PMU, rescaled by the current SAV and poll-interval stretch back to
@@ -118,6 +122,19 @@ class KnobSettings:
         )
 
 
+#: An interval is overloaded when normalized flow exceeds this
+#: multiple of the budget (or anything dropped)...
+OVERLOAD_RATIO = 1.0
+#: ...and calm only when flow falls below this multiple with a clean
+#: driver; the gap between the two ratios is the hysteresis band.
+RECOVER_RATIO = 0.5
+#: Per-rung multiplier applied to the SAV...
+SAV_STEP = 2
+#: ...and to the poll interval.
+POLL_STEP = 2
+#: Hard cap on the actuated SAV (sampling coarser than this stops
+#: producing a usable rate estimate at all).
+MAX_SAV = 512
 #: SHEDDING admits this fraction of the THROTTLED budget rate.
 _SHEDDING_BUDGET_DIVISOR = 4
 
@@ -126,23 +143,18 @@ class OverloadController:
     """Hysteresis ladder mapping load signals to knob settings."""
 
     def __init__(self, base_sav: int, base_interval_cycles: int,
-                 budget_records: int, overload_ratio: float,
-                 recover_ratio: float, escalate_after: int,
-                 recover_after: int, passthrough_after: int,
-                 sav_step: int, poll_step: int, max_sav: int):
+                 budget_records: int, escalate_after: int,
+                 recover_after: int, passthrough_after: int):
         if base_sav < 1 or base_interval_cycles < 1:
             raise ValueError("base knobs must be >= 1")
+        if base_sav > MAX_SAV:
+            raise ValueError("base SAV must be <= MAX_SAV (%d)" % MAX_SAV)
         self.base_sav = base_sav
         self.base_interval_cycles = base_interval_cycles
         self.budget_records = budget_records
-        self.overload_ratio = overload_ratio
-        self.recover_ratio = recover_ratio
         self.escalate_after = escalate_after
         self.recover_after = recover_after
         self.passthrough_after = passthrough_after
-        self.sav_step = sav_step
-        self.poll_step = poll_step
-        self.max_sav = max_sav
         self.reset()
 
     def reset(self) -> None:
@@ -168,9 +180,9 @@ class OverloadController:
     def knobs_for(self, mode: str) -> KnobSettings:
         """The knob settings the given mode prescribes."""
         rung = ControlMode.rung(mode)
-        sav = min(self.base_sav * self.sav_step ** rung, self.max_sav)
+        sav = min(self.base_sav * SAV_STEP ** rung, MAX_SAV)
         weight = max(1, sav // self.base_sav)
-        poll_factor = self.poll_step ** rung
+        poll_factor = POLL_STEP ** rung
         poll = self.base_interval_cycles * poll_factor
         if mode == ControlMode.NOMINAL:
             budget: Optional[int] = None
@@ -212,7 +224,7 @@ class OverloadController:
         """Fold one interval's signals in; True if the mode changed."""
         flow = self.normalized_flow(signals)
         overloaded = (
-            flow > self.overload_ratio * self.budget_records
+            flow > OVERLOAD_RATIO * self.budget_records
             or signals.records_dropped > 0
         )
         # Calm demands more than "not overloaded": flow well inside the
@@ -221,7 +233,7 @@ class OverloadController:
         # band between the two thresholds is what stops flapping.
         poll_now = self.knobs().poll_interval_cycles
         calm = (
-            flow < self.recover_ratio * self.budget_records
+            flow < RECOVER_RATIO * self.budget_records
             and signals.records_dropped == 0
             and signals.outbox_pending == 0
             and signals.detect_latency <= poll_now

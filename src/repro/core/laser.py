@@ -142,11 +142,7 @@ class Laser:
         #: with no transport the driver-poll slice is byte-identical to
         #: pre-fleet behavior.
         self.transport = transport
-        self.repairer = LaserRepair(
-            min_stores_per_flush=self.config.min_stores_per_flush,
-            abort_fallback_threshold=self.config.htm_abort_fallback_threshold,
-            verify_rewrites=self.config.verify_repairs,
-        )
+        self.repairer = LaserRepair()
 
     # ------------------------------------------------------------------
     # Running a workload under LASER
@@ -209,13 +205,11 @@ class Laser:
         # charges simulated cycles.  Built before the driver so records
         # are journaled from the very first delivery.
         runtime = (
-            ResilienceRuntime(config, config.seed,
-                              injector=injector, tracer=tracer)
+            ResilienceRuntime(config, injector=injector, tracer=tracer)
             if config.resilience_enabled else None
         )
         driver = KernelDriver(
-            outbox_capacity=config.outbox_capacity, injector=injector,
-            tracer=tracer,
+            injector=injector, tracer=tracer,
             journal=runtime.journal if runtime is not None else None,
             profiler=profiler,
             engine=engine,
@@ -260,7 +254,7 @@ class Laser:
             health=RunHealth(engine=engine, sim_engine=sim_engine),
             driver=driver, pmu=pmu,
             pipeline=pipeline, repairer=self.repairer, runtime=runtime,
-            st=DetectorState(config), certificate=certificate,
+            st=DetectorState(), certificate=certificate,
             profiler=profiler, transport=self.transport,
         )
         resilience = ResilienceService()

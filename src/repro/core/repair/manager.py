@@ -10,7 +10,6 @@ buffer.
 
 from typing import Dict, List, Optional, Set
 
-from repro._constants import HTM_ABORT_FALLBACK_THRESHOLD
 from repro.core.repair.analysis import ThreadRepairAnalysis, analyze_thread
 from repro.core.repair.rewrite import rewrite_thread
 from repro.core.repair.ssb import SoftwareStoreBuffer
@@ -37,7 +36,7 @@ class RepairPlan:
         self.new_code_lens: Dict[int, int] = {}
         self.rejected_reason: Optional[str] = None
         #: Per-thread rewrite-verifier outcomes (``static/verify.py``);
-        #: populated for every rewritten thread when verification is on.
+        #: populated for every rewritten thread.
         self.verifier_results: Dict[int, VerificationResult] = {}
         #: True when the plan was rejected *by the verifier* (as opposed
         #: to the profitability gate) — surfaced separately in RunHealth
@@ -110,14 +109,9 @@ class RepairPlan:
 class LaserRepair:
     """Builds, applies and rolls back repair plans."""
 
-    def __init__(self, min_stores_per_flush: float = 4.0,
-                 abort_fallback_threshold: int = HTM_ABORT_FALLBACK_THRESHOLD,
-                 verify_rewrites: bool = True):
+    def __init__(self, min_stores_per_flush: float = 4.0):
+        #: Repair profitability floor (Section 5.4).
         self.min_stores_per_flush = min_stores_per_flush
-        self.abort_fallback_threshold = abort_fallback_threshold
-        #: Gate every rewrite through the static verifier
-        #: (``repro.static.verify``) before it may be attached.
-        self.verify_rewrites = verify_rewrites
         self.plans_built = 0
         self.plans_applied = 0
         self.plans_rejected = 0
@@ -160,29 +154,27 @@ class LaserRepair:
                                 reason=plan.rejected_reason)
                 return plan
             new_code, index_map = rewrite_thread(code, analysis)
-            if self.verify_rewrites:
-                verdict = verify_rewrite(code, analysis, new_code,
-                                         index_map, thread=tid)
-                plan.verifier_results[tid] = verdict
+            verdict = verify_rewrite(code, analysis, new_code, index_map,
+                                     thread=tid)
+            plan.verifier_results[tid] = verdict
+            if tracer.enabled:
+                tracer.emit("repair.verify", cycle, thread=tid,
+                            ok=verdict.ok, summary=verdict.summary())
+            if not verdict.ok:
+                plan.rejected_reason = (
+                    "thread %d: rewrite verification failed: %s"
+                    % (tid, verdict.summary())
+                )
+                plan.verifier_rejected = True
+                plan.new_codes.clear()
+                plan.index_maps.clear()
+                plan.new_code_lens.clear()
+                self.plans_rejected += 1
+                self.plans_verifier_rejected += 1
                 if tracer.enabled:
-                    tracer.emit("repair.verify", cycle, thread=tid,
-                                ok=verdict.ok, summary=verdict.summary())
-                if not verdict.ok:
-                    plan.rejected_reason = (
-                        "thread %d: rewrite verification failed: %s"
-                        % (tid, verdict.summary())
-                    )
-                    plan.verifier_rejected = True
-                    plan.new_codes.clear()
-                    plan.index_maps.clear()
-                    plan.new_code_lens.clear()
-                    self.plans_rejected += 1
-                    self.plans_verifier_rejected += 1
-                    if tracer.enabled:
-                        tracer.emit("repair.plan_rejected", cycle,
-                                    thread=tid,
-                                    reason=plan.rejected_reason)
-                    return plan
+                    tracer.emit("repair.plan_rejected", cycle, thread=tid,
+                                reason=plan.rejected_reason)
+                return plan
             plan.new_codes[tid] = new_code
             plan.index_maps[tid] = index_map
             plan.new_code_lens[tid] = len(new_code.instructions)
@@ -206,10 +198,7 @@ class LaserRepair:
         for tid in plan.threads_instrumented:
             core = machine.cores[tid]
             core.replace_code(plan.new_codes[tid].instructions, plan.index_maps[tid])
-            ssb = SoftwareStoreBuffer(
-                machine, tid,
-                abort_fallback_threshold=self.abort_fallback_threshold,
-            )
+            ssb = SoftwareStoreBuffer(machine, tid)
             core.ssb = ssb
             buffers.append(ssb)
         self.plans_applied += 1

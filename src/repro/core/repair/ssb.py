@@ -18,7 +18,7 @@ A transaction can also abort for reasons unrelated to capacity —
 conflicts, interrupts — and a persistently-aborting HTM must not wedge
 the flush path.  The buffer therefore keeps a FIFO log of the raw
 stores alongside the coalesced byte map; after
-``abort_fallback_threshold`` *consecutive* aborts it permanently stops
+``HTM_ABORT_FALLBACK_THRESHOLD`` *consecutive* aborts it permanently stops
 using the HTM and writes the log back **per store, in program order**.
 That is the non-coalesced writeback the paper rejects as slow — but it
 is TSO-correct without any transaction (each thread's stores become
@@ -63,12 +63,10 @@ class SoftwareStoreBuffer:
     """Thread-private coalescing store buffer."""
 
     def __init__(self, machine, core_id: int,
-                 preflush_lines: int = L1_ASSOCIATIVITY,
-                 abort_fallback_threshold: int = HTM_ABORT_FALLBACK_THRESHOLD):
+                 preflush_lines: int = L1_ASSOCIATIVITY):
         self.machine = machine
         self.core_id = core_id
         self.preflush_lines = preflush_lines
-        self.abort_fallback_threshold = abort_fallback_threshold
         self._bytes = {}  # addr -> byte value
         self._lines = set()
         #: Program-order log of raw stores since the last flush; the
@@ -191,7 +189,7 @@ class SoftwareStoreBuffer:
         except HtmAbort:
             self.stats.htm_aborts += 1
             self.consecutive_aborts += 1
-            if self.consecutive_aborts >= self.abort_fallback_threshold:
+            if self.consecutive_aborts >= HTM_ABORT_FALLBACK_THRESHOLD:
                 latency += self._activate_fallback()
                 return latency + self._flush_per_store(core_id)
             # Capacity fallback: commit in capacity-sized FIFO chunks.

@@ -27,6 +27,12 @@ from repro.resilience import Backoff
 __all__ = ["DetectorState", "RunContext", "ssb_buffers", "ssb_totals",
            "ssb_abort_count"]
 
+#: After a rejected (or failed) repair evaluation, skip this many check
+#: intervals before re-evaluating...
+REPAIR_BACKOFF_INTERVALS = 2
+#: ...doubling the skip on every further rejection, up to this cap.
+REPAIR_BACKOFF_MAX = 32
+
 
 class DetectorState:
     """The detector process's in-memory loop state."""
@@ -36,13 +42,12 @@ class DetectorState:
                  "attach_rate", "windows_since_attach",
                  "mark_cycle", "mark_hitm", "mark_aborts")
 
-    def __init__(self, config):
+    def __init__(self):
         self.plan = None
         self.repaired = False
         self.rolled_back = False
-        self.repair_backoff = Backoff(
-            config.repair_backoff_intervals, config.repair_backoff_max
-        )
+        self.repair_backoff = Backoff(REPAIR_BACKOFF_INTERVALS,
+                                      REPAIR_BACKOFF_MAX)
         self.reset_loop_state()
 
     def reset_loop_state(self) -> None:

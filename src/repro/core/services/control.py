@@ -58,14 +58,9 @@ class ControlService(Service):
             base_sav=config.sample_after_value,
             base_interval_cycles=config.check_interval_cycles,
             budget_records=config.control_budget_records,
-            overload_ratio=config.control_overload_ratio,
-            recover_ratio=config.control_recover_ratio,
             escalate_after=config.control_escalate_after,
             recover_after=config.control_recover_after,
             passthrough_after=config.control_passthrough_after,
-            sav_step=config.control_sav_step,
-            poll_step=config.control_poll_step,
-            max_sav=config.control_max_sav,
         )
         self._shed_mark = 0
         self._apply_knobs(ctx)

@@ -29,6 +29,16 @@ from repro.static.race import LineVerdict
 
 __all__ = ["RepairService"]
 
+#: Detection windows the watchdog observes after an attach before
+#: judging the repair (and again every this many windows after).
+WATCHDOG_WINDOWS = 3
+#: The repair keeps paying off only while the post-repair HITM rate
+#: stays below this fraction of the rate at attach time...
+WATCHDOG_RATE_RATIO = 0.5
+#: ...and SSB HTM aborts per window stay below this rate (above it the
+#: repair is thrashing the HTM).
+WATCHDOG_ABORT_RATE = 4.0
+
 
 class RepairService(Service):
     """Trigger / verify / attach / watchdog / backoff for one run."""
@@ -108,11 +118,11 @@ class RepairService(Service):
             self._resilience.save_checkpoint(ctx)
 
     def _watchdog(self, ctx) -> None:
-        """Judge the attached repair every ``watchdog_windows`` windows."""
-        config, st, pmu = ctx.config, ctx.st, ctx.pmu
+        """Judge the attached repair every ``WATCHDOG_WINDOWS`` windows."""
+        st, pmu = ctx.st, ctx.pmu
         st.windows_since_attach += 1
-        if not (config.rollback_enabled
-                and st.windows_since_attach % config.watchdog_windows == 0):
+        if not (ctx.config.rollback_enabled
+                and st.windows_since_attach % WATCHDOG_WINDOWS == 0):
             return
         elapsed = ctx.cycle - st.mark_cycle
         post_rate = (
@@ -121,9 +131,9 @@ class RepairService(Service):
             if elapsed > 0 else 0.0
         )
         aborts = ssb_abort_count(ctx.machine)
-        abort_rate = (aborts - st.mark_aborts) / config.watchdog_windows
-        paying = (post_rate < config.watchdog_rate_ratio * st.attach_rate
-                  and abort_rate < config.watchdog_abort_rate)
+        abort_rate = (aborts - st.mark_aborts) / WATCHDOG_WINDOWS
+        paying = (post_rate < WATCHDOG_RATE_RATIO * st.attach_rate
+                  and abort_rate < WATCHDOG_ABORT_RATE)
         ctx.tracer.emit(
             "repair.watchdog", ctx.cycle,
             post_rate=round(post_rate, 3),

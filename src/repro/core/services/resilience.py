@@ -100,8 +100,7 @@ class ResilienceService(Service):
     # ------------------------------------------------------------------
 
     def on_check_interval(self, ctx) -> None:
-        if (ctx.runtime is not None
-                and ctx.interval % ctx.config.checkpoint_every_windows == 0):
+        if ctx.runtime is not None:
             self.save_checkpoint(ctx)
 
     def save_checkpoint(self, ctx) -> None:

@@ -2,9 +2,10 @@
 
 :class:`ResilienceRuntime` is what ``Laser.run_built`` actually holds:
 the write-ahead journal, the checkpoint store, the supervisor with one
-:class:`~repro.resilience.policy.RetryPolicy` per component (seeded
-jitter derived from the run seed, so restart schedules are
-reproducible), and the degrade ladder the circuit breaker walks:
+:class:`~repro.resilience.policy.RetryPolicy` per component (its
+default 1 .. 8 check-interval backoff with no jitter, so a single run
+draws no RNG for restarts; fleet shards keep their own seeded jitter),
+and the degrade ladder the circuit breaker walks:
 
     NORMAL → DETECTION_ONLY → PASSTHROUGH
 
@@ -26,7 +27,6 @@ Like tracing, the runtime observes and records but never charges
 simulated cycles.
 """
 
-import random
 from typing import List, Optional
 
 from repro.obs.trace import NULL_TRACER
@@ -34,7 +34,6 @@ from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.journal import RecordJournal
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import Supervisor
-from repro.rng import derive_seed
 
 __all__ = ["DegradeMode", "ResilienceRuntime"]
 
@@ -55,16 +54,15 @@ class ResilienceRuntime:
 
     COMPONENTS = ("driver", "detector")
 
-    def __init__(self, config, seed: int, injector=None, tracer=None):
-        self.config = config
-        self.seed = seed
+    def __init__(self, config, injector=None, tracer=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = RecordJournal()
         self.checkpoints = CheckpointStore(
             keep=2, injector=injector, tracer=self.tracer)
         self.supervisor = Supervisor(tracer=self.tracer)
         for name in self.COMPONENTS:
-            self.supervisor.register(name, self._policy(name))
+            self.supervisor.register(name, RetryPolicy(
+                max_attempts=config.max_component_restarts))
         self.mode = DegradeMode.NORMAL
         self.records_replayed = 0
         self.records_deduped = 0
@@ -80,17 +78,6 @@ class ResilienceRuntime:
         #: must survive detector crashes (the machine no longer holds
         #: them once the plan detaches).
         self.detached_buffers: List = []
-
-    def _policy(self, name: str) -> RetryPolicy:
-        config = self.config
-        rng = random.Random(derive_seed(self.seed, "supervisor:" + name))
-        return RetryPolicy(
-            initial=config.restart_backoff_intervals,
-            maximum=config.restart_backoff_max,
-            jitter=config.restart_jitter,
-            max_attempts=config.max_component_restarts,
-            rng=rng,
-        )
 
     # ------------------------------------------------------------------
     # Degrade ladder

@@ -6,8 +6,7 @@ monitoring components (``driver`` and ``detector``):
 * components **beat** while healthy (every supervised loop iteration);
 * a **crash** marks the component DOWN and consults its
   :class:`~repro.resilience.policy.RetryPolicy` for a restart delay
-  (exponential backoff with seeded jitter, measured in detector check
-  intervals);
+  (exponential backoff, measured in detector check intervals);
 * when the policy's attempt budget is exhausted the **circuit breaker**
   trips: the component is HALTED and the caller is told to degrade
   (detection-only, then passthrough) — supervision never aborts the

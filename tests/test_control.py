@@ -46,9 +46,7 @@ pytestmark = pytest.mark.control
 def make_controller(**overrides):
     kwargs = dict(
         base_sav=19, base_interval_cycles=50_000, budget_records=128,
-        overload_ratio=1.0, recover_ratio=0.5, escalate_after=2,
-        recover_after=3, passthrough_after=6, sav_step=2, poll_step=2,
-        max_sav=512,
+        escalate_after=2, recover_after=3, passthrough_after=6,
     )
     kwargs.update(overrides)
     return OverloadController(**kwargs)
@@ -167,9 +165,13 @@ class TestControlLaw:
         assert parked.admission_budget == 0
 
     def test_sav_cap(self):
-        ctl = make_controller(max_sav=40)
-        assert ctl.knobs_for(ControlMode.SHEDDING).sample_after_value == 40
+        # SHEDDING would set 200 x 4 = 800; the ladder caps it at 512.
+        ctl = make_controller(base_sav=200)
+        assert ctl.knobs_for(ControlMode.SHEDDING).sample_after_value == 512
         assert ctl.knobs_for(ControlMode.SHEDDING).sample_weight == 2
+        # A base SAV above the cap leaves the ladder nowhere to go.
+        with pytest.raises(ValueError):
+            make_controller(base_sav=1000)
 
     def test_state_dict_round_trip(self):
         ctl = make_controller(escalate_after=1)

@@ -21,12 +21,35 @@ class TestConfig:
         assert config.sample_after_value == 7
         assert config.seed == 3
         assert config.rate_threshold == 1000.0
+        # Every field survives the copy, not just the overridden ones.
+        custom = LaserConfig(
+            sample_after_value=7, rate_threshold=10.0,
+            repair_trigger_rate=20.0, check_interval_cycles=1_000,
+            heap_shift=0, detection_enabled=False, repair_enabled=False,
+            seed=5, rollback_enabled=False, trace_enabled=True,
+            trace_capacity=16, resilience_enabled=False,
+            max_component_restarts=1, control_enabled=True,
+            control_budget_records=8, control_escalate_after=4,
+            control_recover_after=5, control_passthrough_after=9,
+            race_gate=True, static_prefilter=True, profile_enabled=True,
+            trace_spans=True,
+        )
+        assert all(vars(custom)[name] != default
+                   for name, default in vars(LaserConfig()).items())
+        assert vars(custom.replace()) == vars(custom)
+        # A name that is not a field is an error, not a silent no-op.
+        with pytest.raises(TypeError):
+            LaserConfig().replace(watchdog_windows=3)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             LaserConfig(sample_after_value=0)
         with pytest.raises(ValueError):
             LaserConfig(rate_threshold=-1)
+
+    def test_sav_above_the_controller_cap_allowed(self):
+        # The controller's SAV cap binds only its own ladder.
+        assert LaserConfig(sample_after_value=1000).sample_after_value == 1000
 
 
 class TestDetectionEndToEnd:

@@ -30,6 +30,10 @@ import pytest
 
 from repro.core import Laser, LaserConfig, RunHealth
 from repro.core.detect.pipeline import DetectionPipeline
+from repro.core.services.context import (
+    REPAIR_BACKOFF_INTERVALS,
+    REPAIR_BACKOFF_MAX,
+)
 from repro.experiments.chaos import (
     CRASH_SCHEDULES,
     run_chaos_case,
@@ -71,9 +75,7 @@ class TestBackoffPolicy:
         # The historical inline counters in Laser.run_built produced
         # exactly this sequence for the default config (initial=2,
         # max=32); the shared policy must reproduce it bit-for-bit.
-        config = LaserConfig()
-        backoff = Backoff(config.repair_backoff_intervals,
-                          config.repair_backoff_max)
+        backoff = Backoff(REPAIR_BACKOFF_INTERVALS, REPAIR_BACKOFF_MAX)
         assert [backoff.step() for _ in range(6)] == [2, 4, 8, 16, 32, 32]
 
     def test_reset_and_restore_point(self):

@@ -128,7 +128,7 @@ def _fake_context(config=None, slices=2):
         pipeline=SimpleNamespace(report=lambda cycles, threshold: "report"),
         repairer=None,
         runtime=None,
-        st=DetectorState(config),
+        st=DetectorState(),
     )
     return ctx
 

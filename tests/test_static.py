@@ -451,18 +451,6 @@ class TestVerifier:
         assert all(v.ok for v in plan.verifier_results.values())
         assert repairer.plans_verifier_rejected == 0
 
-    def test_gate_can_be_disabled(self):
-        repairer = LaserRepair(verify_rewrites=False)
-        program = make_counter_program()
-        pcs = {
-            inst.pc for code in program.threads
-            for inst in code.instructions
-            if inst.op in (Opcode.LOAD, Opcode.STORE, Opcode.ADDM)
-        }
-        plan = repairer.plan(program, pcs)
-        assert plan.profitable
-        assert plan.verifier_results == {}
-
 
 # ----------------------------------------------------------------------
 # Static vs. dynamic (the acceptance bar)
