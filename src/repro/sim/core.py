@@ -119,7 +119,13 @@ class Core:
         """Execute one instruction; returns its latency in cycles."""
         if self.state is not CoreState.RUNNING:
             raise SimulationError("step() on halted core %d" % self.core_id)
-        inst = self.instructions[self.pc_index]
+        try:
+            inst = self.instructions[self.pc_index]
+        except IndexError:
+            raise SimulationError(
+                "core %d ran past its last instruction: pc %d of %d"
+                % (self.core_id, self.pc_index, len(self.instructions))
+            ) from None
         self.stats.instructions += 1
         latency = self._execute(inst)
         if self.ssb is not None:

@@ -27,7 +27,7 @@ from repro.sim.core import Core, CoreState
 from repro.sim.htm import HardwareTransactionalMemory
 from repro.sim.memory import Memory
 from repro.sim.timing import LatencyModel
-from repro.sim.trace import _LAZY, CompiledTrace
+from repro.sim.trace import CompiledTrace
 from repro.sim.vmmap import STACK_SIZE, STACK_TOP, default_memory_map
 
 __all__ = ["Machine", "RunResult"]
@@ -303,16 +303,16 @@ class Machine:
 
         Identical event semantics to ``_run_slice``: the scheduling
         order, jitter stream consumption, latency charging and
-        pause/livelock checks are all preserved.  Two things differ in
+        pause/livelock checks are all preserved.  What differs is
         implementation only:
 
-        * Ready cores are tracked as encoded integers ``(time <<
-          shift) | core_id`` in a small list instead of a tuple heap —
-          integer comparison gives exactly the heap's ``(time,
-          core_id)`` lexicographic order, and a linear min/second-min
-          scan beats heap churn at machine core counts.  The tuple heap
-          is materialized on pause/finish so resume and ``finished``
-          keep their contract.
+        * Ready cores are encoded ints ``(time << shift) | core_id``,
+          whose order is exactly the heap's ``(time, core_id)`` order, in
+          a list kept sorted (C timsort over one int per core) plus a
+          sentinel timed past every limit.  The pick is ``active[0]`` and
+          the runner-up that bounds its burst ``active[1]``.  A finished
+          run leaves the sentinel first, so it enters the pause branch,
+          which rebuilds the tuple heap for resume and ``finished``.
         * After selecting a core, it executes a *burst* of compiled
           instructions while its local time ``t`` stays within ``lb`` —
           the largest time at which ``(t, core_id)`` would still win the
@@ -324,10 +324,12 @@ class Machine:
           functions amortize their prologue/stats-flush over long
           straight-line runs (serial phases), while single-instruction
           *micro* functions with a minimal calling convention serve the
-          1–2 instruction horizons of lock-step parallel phases, with
-          their stats deferred into per-core counters flushed at slice
-          boundaries (sums commute, and nothing reads core stats inside
-          a slice).
+          1–2 instruction horizons of lock-step parallel phases.  A
+          micro fast path counts itself per pc in its trace; the traces
+          add their counts into CoreStats at every slice exit, error
+          unwinds included (sums commute, and nothing reads core stats
+          inside a slice).  Micro entries of HALT and of the end of the
+          stream return -1, which hands the core to the reference pop.
         """
         if not hasattr(self, "_ready"):
             self._init_ready_heap()
@@ -345,55 +347,35 @@ class Machine:
         pages = self.memory._pages
         shift = max(3, (ncores - 1).bit_length())
         cid_mask = (1 << shift) - 1
-        #: Ready queue as encoded ints; order identical to the heap's.
-        active = [(t << shift) | cid for t, cid in self._ready]
         huge = (max_cycles + 16) << shift
-        # Deferred micro-step stats (flushed into CoreStats before any
-        # observer can read them: slice pause/finish and error unwind).
-        cnt = [0] * ncores
-        busy = [0] * ncores
-        nld = [0] * ncores
-        nst = [0] * ncores
-        npa = [0] * ncores
+        active = sorted([huge] + [(t << shift) | c for t, c in self._ready])
         # Per-core dispatch state, hoisted for the slice: (table, micro,
-        # leader flags, len, registers, trace).  Safe to cache because
-        # code swaps and SSB attach/detach (``replace_code``) only
-        # happen from services, which run between slices.
+        # leader flags, registers, counts).  Safe to cache because code
+        # swaps and SSB attach/detach (``replace_code``) only happen
+        # from services, which run between slices.
         tstate: List = [None] * ncores
+        used: List = []  # (trace, its core's stats) per dispatched core
 
-        def flush_stats():
-            for c in cores:
-                i = c.core_id
-                if cnt[i]:
-                    st = c.stats
-                    st.instructions += cnt[i]
-                    st.busy_cycles += busy[i]
-                    st.loads += nld[i]
-                    st.stores += nst[i]
-                    st.pauses += npa[i]
-                    cnt[i] = busy[i] = nld[i] = nst[i] = npa[i] = 0
-
-        def to_heap():
-            self._ready = sorted(
-                (e >> shift, e & cid_mask) for e in active)
+        def flush_counts():
+            for trace, stats in used:
+                trace.flush_counts(stats)
 
         try:
-            while active:
-                # Linear min / second-min scan (the "pop" and the
-                # runner-up that bounds the winner's burst).
-                m1 = m2 = huge
-                for e in active:
-                    if e < m1:
-                        m2 = m1
-                        m1 = e
-                    elif e < m2:
-                        m2 = e
+            while True:
+                m1 = active[0]
                 time = m1 >> shift
                 if time > limit:
+                    # A pause, the livelock backstop, or only the
+                    # sentinel left.  Removing one entry equal to the
+                    # sentinel leaves the real entries, still sorted.
+                    active.remove(huge)
+                    self._ready = [(e >> shift, e & cid_mask) for e in active]
+                    if not active:
+                        break
+                    time = active[0] >> shift
                     self.cycle = time
-                    flush_stats()
-                    to_heap()
                     if until_cycle is not None and time <= max_cycles:
+                        flush_counts()
                         if tracer.enabled:
                             tracer.emit("machine.slice", time, ph="E")
                         return RunResult(self, time, finished=False)
@@ -405,17 +387,15 @@ class Machine:
                 core = cores[core_id]
                 ts = tstate[core_id]
                 if ts is None:
-                    trace = (core._trace_taxed if core.ssb is not None
-                             else core._trace)
-                    if trace is None or trace.insts is not core.instructions:
-                        trace = self._trace_for(core)
-                    ts = (trace.table, trace.micro, trace.leaders,
-                          len(trace.micro), core.registers, trace)
-                    tstate[core_id] = ts
-                table, micro, lflags, nlen, regs, trace = ts
+                    trace = self._trace_for(core)
+                    used.append((trace, core.stats))
+                    ts = tstate[core_id] = (trace.table, trace.micro,
+                                            trace.leaders, core.registers,
+                                            trace.counts)
+                table, micro, lflags, regs, cnt = ts
                 pc2 = core.pc_index
-                # Largest t with ((t << shift) | core_id) < m2.
-                lb = (m2 - core_id - 1) >> shift
+                # Largest t with ((t << shift) | core_id) < runner-up.
+                lb = (active[1] - core_id - 1) >> shift
                 if lb > limit:
                     lb = limit
                 # Burst: execute while this core's time still wins the
@@ -428,48 +408,22 @@ class Machine:
                 # without returning to the scheduler.
                 t2 = time
                 while True:
-                    if pc2 < nlen and lflags[pc2] and lb - t2 >= 4:
-                        fn = table[pc2]
-                        if fn is _LAZY:
-                            fn = trace.resolve(pc2)
-                        if fn is not None:
-                            pc3, t3 = fn(core, regs, t2, lb, gb, dl,
-                                         pages, self)
-                            if t3 != t2:
-                                pc2, t2 = pc3, t3
-                                if t2 > lb:
-                                    break
-                                continue
-                            # Entry bail (memory op needing the full
-                            # coherence path): fall through to the
-                            # micro step, which handles it exactly.
-                    if pc2 >= nlen:
-                        break
-                    mfn = micro[pc2]
-                    if mfn is _LAZY:
-                        mfn = trace.resolve_micro(pc2)
-                    if mfn is None:
-                        break  # HALT: the legacy pop below retires it.
-                    v = mfn(regs, t2, gb, core, dl, pages)
+                    if lflags[pc2] and lb - t2 >= 4:
+                        pc3, t3 = table[pc2](core, regs, t2, lb, gb, dl,
+                                             pages, self)
+                        if t3 != t2:
+                            pc2, t2 = pc3, t3
+                            if t2 > lb:
+                                break
+                            continue
+                        # Entry bail (memory op needing the full
+                        # coherence path): fall through to the micro
+                        # step, which handles it exactly.
+                    v = micro[pc2](regs, t2, gb, core, dl, pages, cnt)
                     if v < 0:
-                        break
-                    t3 = v >> 25
-                    cls = v & 0xE00000
-                    if cls != 0xE00000:
-                        cnt[core_id] += 1
-                        busy[core_id] += t3 - t2 - ((v >> 24) & 1)
-                        if cls:
-                            if cls == 0x200000:
-                                nld[core_id] += 1
-                            elif cls == 0x400000:
-                                nst[core_id] += 1
-                            elif cls == 0x600000:
-                                nld[core_id] += 1
-                                nst[core_id] += 1
-                            else:
-                                npa[core_id] += 1
+                        break  # HALT or end of stream: the pop below.
+                    t2 = v >> 21  # _MICRO_PC_BITS
                     pc2 = v & 0x1FFFFF
-                    t2 = t3
                     if t2 > lb:
                         break
                 if t2 != time:
@@ -477,7 +431,8 @@ class Machine:
                     # executed instruction advances time — latencies are
                     # >= 1 — so no-progress means nothing ran.)
                     core.pc_index = pc2
-                    active[active.index(m1)] = (t2 << shift) | core_id
+                    active[0] = (t2 << shift) | core_id
+                    active.sort()
                     continue
                 self.cycle = time
                 latency = core.step()
@@ -485,15 +440,15 @@ class Machine:
                     latency += jitter_rng.randrange(0, 2)
                 next_time = time + max(1, latency)
                 if core.state is CoreState.RUNNING:
-                    active[active.index(m1)] = (next_time << shift) | core_id
+                    active[0] = (next_time << shift) | core_id
+                    active.sort()
                 else:
-                    active.remove(m1)
+                    del active[0]
                     self._finish_time = max(self._finish_time, next_time)
         except BaseException:
-            flush_stats()
+            flush_counts()
             raise
-        self._ready = []
-        flush_stats()
+        flush_counts()
         self.cycle = max(self.cycle, self._finish_time)
         if tracer.enabled:
             tracer.emit("machine.slice", self.cycle, ph="E", finished=True)

@@ -21,7 +21,7 @@ returns its compiled semantics as a ``_Template`` of five parts:
   holds (inline hits stamp ``directory.now``, as the interpreter's
   ``mem_read``/``mem_write`` do on every access);
 * *latency* in cycles, pin tax excluded;
-* *op class*, naming the CoreStats counters the instruction bumps;
+* *counters*: the CoreStats counters the instruction bumps;
 * *branch*: ``(condition, target)``, the condition ``None`` for an
   unconditional jump, or ``None`` for plain fallthrough.
 
@@ -32,8 +32,16 @@ becomes ``continue``.  ``_render_micro`` compiles one instruction: its
 guards nest, and when one fails control falls through to an exact
 ``core.step()`` tail.  That tail alone is the micro function of every
 opcode without a template (DIV, atomics, fences, SSB pseudo-ops,
-ALIAS_CHECK), so micro functions run slow instructions themselves; only
-HALT has none and returns to the scheduler's pop.
+ALIAS_CHECK), so micro functions run slow instructions themselves.  A
+micro fast path does not touch CoreStats: it bumps its pc's slot of the
+trace's ``counts`` list, and the trace adds the counts into CoreStats
+(``flush_counts``) when the scheduler leaves the slice.
+
+**Tables with no holes.**  Every entry of a trace's block and micro
+tables is callable: a stub compiles the real function on first call
+(``resolve``/``resolve_micro``), stores it in the table and forwards
+the call.  HALT's micro entry and one extra entry past the end of the
+stream return -1, which sends the core to the scheduler's pop.
 
 Interleave jitter is drawn inline: ``r = gb(2); while r >= 2: r =
 gb(2)`` is state-identical to ``Random.randrange(0, 2)`` (CPython's
@@ -44,36 +52,27 @@ states, stats, RNG stream, event order) at a fraction of the host time.
 """
 
 from functools import partial
+from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.sim.cache import LineState
 
-__all__ = ["CompiledTrace", "_LAZY"]
+__all__ = ["CompiledTrace"]
 
-#: Sentinel marking a table entry whose block has not been compiled yet.
-_LAZY = object()
-
-#: Bit layout of a micro function's return value: ``(time << 25) |
-#: (jitter << 24) | (op_class << 21) | next_pc``.  Micro functions (one
-#: instruction, minimal calling convention) serve the short-horizon
-#: bursts of lock-step parallel phases, where block functions would pay
-#: their full prologue/epilogue for a single instruction; 21 bits of pc
-#: bound the program size the micro path supports (larger streams fall
-#: back to blocks + interpreter).
+#: A micro function returns ``(time << 21) | next_pc``, or -1 to send
+#: the core to the scheduler's pop.  Micro functions (one instruction,
+#: minimal calling convention) serve the short-horizon bursts of
+#: lock-step parallel phases, where block functions would pay their
+#: full prologue/epilogue for a single instruction; 21 bits of pc bound
+#: the stream length the micro path supports (the machine's decode
+#: spells the width as literals).  A longer stream gets -1 in every
+#: micro entry, so blocks and the interpreter run it.
 _MICRO_PC_BITS = 21
 _MICRO_PC_MASK = (1 << _MICRO_PC_BITS) - 1
-#: op_class values reported to the scheduler's deferred stat counters.
-_CLS_LOAD, _CLS_STORE, _CLS_LOADSTORE, _CLS_PAUSE = 1, 2, 3, 4
-#: op_class 7 marks a *self-accounted* step: the micro function ran the
-#: instruction through ``core.step()`` (which updates CoreStats itself),
-#: so the scheduler must not add deferred counters for it.
-_CLS_SELF = 7
-_SELF_TAG = _CLS_SELF << _MICRO_PC_BITS
-#: CoreStats counters each op class bumps, in the order block functions
-#: declare and flush their local tallies.
-_CLS_COUNTERS = {0: (), _CLS_LOAD: ("loads",), _CLS_STORE: ("stores",),
-                 _CLS_LOADSTORE: ("loads", "stores"), _CLS_PAUSE: ("pauses",)}
+#: The CoreStats counters templates bump besides ``instructions`` and
+#: ``busy_cycles``, in the order block functions declare and flush
+#: their local tallies.
 _COUNTER_ORDER = ("loads", "stores", "pauses")
 
 #: Maximum instructions included in one compiled block.  Kept small:
@@ -115,7 +114,7 @@ class _Template(NamedTuple):
     latency: int
     guards: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()
     body: Tuple[str, ...] = ()
-    op_class: int = 0
+    counters: Tuple[str, ...] = ()
     branch: Optional[Tuple[Optional[str], int]] = None
 
 
@@ -164,7 +163,7 @@ def _jmp(inst: Instruction, lat: _Latency) -> _Template:
 
 
 def _pause(inst: Instruction, lat: _Latency) -> _Template:
-    return _Template(lat.pause, op_class=_CLS_PAUSE)
+    return _Template(lat.pause, counters=("pauses",))
 
 
 def _nop(inst: Instruction, lat: _Latency) -> _Template:
@@ -184,7 +183,7 @@ def _load(inst: Instruction, lat: _Latency) -> _Template:
     # Invalid explicitly, so membership is the whole test, and a hit
     # causes no MESI transition.
     return _Template(
-        lat.l1, op_class=_CLS_LOAD,
+        lat.l1, counters=("loads",),
         guards=_mem_guards(inst, "_s = dl.get(a0 >> 6)",
                            "_s is not None and cid in _s"),
         body=(_STAMP, "_pg = pages.get(a0 >> 12)", "o = a0 & 4095",
@@ -193,11 +192,11 @@ def _load(inst: Instruction, lat: _Latency) -> _Template:
     )
 
 
-def _write_hit(inst: Instruction, latency: int, op_class: int,
+def _write_hit(inst: Instruction, latency: int, counters: Tuple[str, ...],
                data: str) -> _Template:
     """A write hits in M, or in E with a silent E->M upgrade."""
     return _Template(
-        latency, op_class=op_class,
+        latency, counters=counters,
         guards=_mem_guards(
             inst,
             "_s = dl.get(a0 >> 6); _w = _s.get(cid) if _s is not None else None",
@@ -216,7 +215,7 @@ def _store(inst: Instruction, lat: _Latency) -> _Template:
         data = "(regs[%d] & %d).to_bytes(%d, 'little')" % (b.value, mask, size)
     else:
         data = repr((b.value & mask).to_bytes(size, "little"))
-    return _write_hit(inst, lat.l1, _CLS_STORE, data)
+    return _write_hit(inst, lat.l1, ("stores",), data)
 
 
 def _addm(inst: Instruction, lat: _Latency) -> _Template:
@@ -225,7 +224,7 @@ def _addm(inst: Instruction, lat: _Latency) -> _Template:
     size = inst.size
     data = "((fb(_pg[o:o + %d], 'little') + %s) & %d).to_bytes(%d, 'little')" % (
         size, _val(inst.b), (1 << (8 * size)) - 1, size)
-    return _write_hit(inst, 2 * lat.l1 + lat.alu, _CLS_LOADSTORE, data)
+    return _write_hit(inst, 2 * lat.l1 + lat.alu, ("loads", "stores"), data)
 
 
 #: The template table: opcode -> (template, operands it needs).  An
@@ -334,7 +333,7 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
     """
     tpls = [(i, _template(insts[i], lat)) for i in window]
     counters = [c for c in _COUNTER_ORDER
-                if any(c in _CLS_COUNTERS[tpl.op_class] for _, tpl in tpls)]
+                if any(c in tpl.counters for _, tpl in tpls)]
     lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):",
              "    st = core.stats"]
     if any(tpl.guards for _, tpl in tpls):
@@ -354,7 +353,7 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
         cost = tpl.latency + tax
         if use_jitter:
             code += _JITTER
-        bumps = "".join("; n_%s += 1" % c for c in _CLS_COUNTERS[tpl.op_class])
+        bumps = "".join("; n_%s += 1" % c for c in tpl.counters)
         code.append("t += %d%s; bc += %d; n += 1%s" % (
             cost, " + r" if use_jitter else "", cost, bumps))
         if tpl.branch is not None:
@@ -372,13 +371,10 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
     return "\n".join(lines)
 
 
-def _micro_return(cost: int, op_class: int, nxt: int,
-                  use_jitter: bool) -> Tuple[str, ...]:
-    tag = (op_class << _MICRO_PC_BITS) | nxt
+def _micro_return(cost: int, nxt: int, use_jitter: bool) -> Tuple[str, ...]:
     if use_jitter:
-        return _JITTER + (
-            "return ((t + %d + r) << 25) | (r << 24) | %d" % (cost, tag),)
-    return ("return ((t + %d) << 25) | %d" % (cost, tag),)
+        return _JITTER + ("return ((t + %d + r) << 21) | %d" % (cost, nxt),)
+    return ("return ((t + %d) << 21) | %d" % (cost, nxt),)
 
 
 def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
@@ -390,33 +386,31 @@ def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
     it, and sampling observes it), the interleave jitter is drawn
     *after* the step from the same stream position, and the advance is
     ``max(1, latency)``.  ``core.step()`` updates CoreStats itself, so
-    the return is tagged ``_CLS_SELF`` to skip the deferred counters.
+    the tail bumps no count.
     """
     head = ("core.pc_index = %d" % i, "core.machine.cycle = t",
             "L = core.step()")
     if use_jitter:
-        return head + _JITTER + (
-            "L = L + r",
-            "return ((t + (L if L > 0 else 1)) << 25) | (r << 24)"
-            " | %d | core.pc_index" % _SELF_TAG)
-    return head + ("return ((t + (L if L > 0 else 1)) << 25)"
-                   " | %d | core.pc_index" % _SELF_TAG,)
+        head += _JITTER + ("L = L + r",)
+    return head + ("return ((t + (L if L > 0 else 1)) << 21) | core.pc_index",)
 
 
 def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
                   tax: int, use_jitter: bool) -> str:
     """Source of the micro function for instruction ``i``.
 
-    The signature is ``_f(regs, t, gb, core, dl, pages)``; it returns
-    the encoded ``(time << 25) | (jitter << 24) | (op_class << 21) |
-    next_pc``.  Unlike block functions there is no loop, no burst-bound
-    check and no stats flush: the caller guarantees the instruction's
-    time is within the burst bound and accumulates stats itself from
-    the op class, so a one-instruction step costs a fraction of a block
-    call.  ``inst`` is ``None`` for an opcode without a template, whose
-    micro function is the exact ``core.step()`` tail alone.
+    The signature is ``_f(regs, t, gb, core, dl, pages, cnt)``; it
+    returns ``(time << 21) | next_pc``.  Unlike block functions there is
+    no loop, no burst-bound check and no stats flush: the caller
+    guarantees the instruction's time is within the burst bound, and
+    the fast path only bumps ``cnt[i]``, its slot of the per-pc counts
+    of the caller's trace (an argument, because micro functions are
+    shared across traces).  So a one-instruction step costs a fraction
+    of a block call.  ``inst`` is ``None`` for an opcode without a
+    template, whose micro function is the exact ``core.step()`` tail
+    alone.
     """
-    lines = ["def _f(regs, t, gb, core, dl, pages):"]
+    lines = ["def _f(regs, t, gb, core, dl, pages, cnt):"]
     if inst is not None:
         tpl = _template(inst, lat)
         ind = "    "
@@ -428,7 +422,7 @@ def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
             if cond:
                 lines.append(ind + "if %s:" % cond)
                 ind += "    "
-        code = list(tpl.body)
+        code = list(tpl.body) + ["cnt[%d] += 1" % i]
         cost = tpl.latency + tax
         nxt = i + 1
         if tpl.branch is not None:
@@ -438,8 +432,8 @@ def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
             else:
                 code.append("if %s:" % cond)
                 code += ["    " + line for line in _micro_return(
-                    cost, tpl.op_class, target, use_jitter)]
-        code += _micro_return(cost, tpl.op_class, nxt, use_jitter)
+                    cost, target, use_jitter)]
+        code += _micro_return(cost, nxt, use_jitter)
         lines += [ind + line for line in code]
         if not tpl.guards:
             return "\n".join(lines)
@@ -467,31 +461,35 @@ def _compile(key: tuple, filename: str, render, *args):
     return fn
 
 
-class CompiledTrace:
-    """Lazy per-entry-index compilation table for one instruction list.
+def _to_pop(regs, t, gb, core, dl, pages, cnt):
+    """Micro entry of HALT and of the end of the stream.
 
-    ``table[i]`` is the compiled block function for entry index ``i``,
-    ``None`` when instruction ``i`` must run on the legacy interpreter,
-    or the ``_LAZY`` sentinel before first use.  Entries compile on
-    demand because mid-block re-entry (after an interleave or a bail) is
-    the common case in parallel phases, not the exception.
+    -1 sends the core to the scheduler's pop, whose ``core.step()``
+    retires a HALT and raises past the last instruction.
+    """
+    return -1
+
+
+class CompiledTrace:
+    """Compiled block and micro tables for one instruction list.
+
+    ``table[i]`` runs the block at leader ``i`` (``None`` off leaders,
+    which the scheduler never calls), ``micro[i]`` runs instruction
+    ``i``, and ``micro[len(insts)]`` is the end of the stream.  Entries
+    start as stubs and compile on first call, because mid-block
+    re-entry (after an interleave or a bail) is the common case in
+    parallel phases, not the exception.  ``counts[i]`` is how often the
+    micro fast path ran instruction ``i`` since the last
+    ``flush_counts``.
     """
 
-    __slots__ = ("insts", "table", "micro", "leaders", "_lat", "_tax",
-                 "_use_jitter", "_fast_mem")
+    __slots__ = ("insts", "table", "micro", "leaders", "counts", "_weights",
+                 "_lat", "_tax", "_use_jitter", "_fast_mem")
 
     def __init__(self, insts: List[Instruction], latency, taxed: bool,
                  use_jitter: bool, fast_mem: bool):
         self.insts = insts
-        self.table: List = [_LAZY] * len(insts)
-        # Micro table: per-pc single-instruction functions for the
-        # short-horizon scheduler path.  Streams too long for the pc
-        # field of the encoded return value get no micro path (blocks
-        # and the interpreter still cover them).
-        if len(insts) <= _MICRO_PC_MASK:
-            self.micro: List = [_LAZY] * len(insts)
-        else:  # pragma: no cover - programs are a few hundred insns
-            self.micro = [None] * len(insts)
+        n = len(insts)
         self._lat = _Latency(latency.alu, latency.l1_hit, latency.pause)
         self._tax = latency.pin_tax if taxed else 0
         self._use_jitter = use_jitter
@@ -501,48 +499,78 @@ class CompiledTrace:
         # re-entry (interleave, bail resume, slice pause) compiles its
         # own overlapping suffix window — quadratic compile cost per
         # basic block, which dominated short runs.  Non-leader entries
-        # run micro steps until the next leader instead.
-        flags = bytearray(len(insts) + 1)
+        # run micro steps until the next leader instead.  The end of the
+        # stream is never flagged: no block starts there.
+        flags = bytearray(n + 1)
         if insts:
             flags[0] = 1
-        n = len(insts)
         for i, inst in enumerate(insts):
             if inst.op in BRANCH_OPS:
-                if isinstance(inst.target, int) and 0 <= inst.target <= n:
+                if isinstance(inst.target, int) and 0 <= inst.target < n:
                     flags[inst.target] = 1
-            if not _includable(inst, fast_mem) and i + 1 <= n:
+            if not _includable(inst, fast_mem) and i + 1 < n:
                 # Resume point after an interpreter-executed slow op.
                 flags[i + 1] = 1
         self.leaders = flags
+        self.table: List = [self._block_stub(i) if flags[i] else None
+                            for i in range(n)]
+        fits = n <= _MICRO_PC_MASK  # else every entry goes to the pop
+        self.micro: List = [self._micro_stub(i) if fits else _to_pop
+                            for i in range(n)] + [_to_pop]
+        self.counts = [0] * n
+        # What one fast-path run of each pc adds to each CoreStats
+        # counter besides ``instructions`` (set as the pc compiles).
+        self._weights = {c: [0] * n for c in ("busy_cycles",) + _COUNTER_ORDER}
+
+    def _block_stub(self, entry: int):
+        def stub(core, regs, t, *rest):
+            fn = self.resolve(entry)
+            # No block: unchanged time sends the caller to a micro step.
+            return (entry, t) if fn is None else fn(core, regs, t, *rest)
+        return stub
+
+    def _micro_stub(self, i: int):
+        def stub(*args):
+            return self.resolve_micro(i)(*args)
+        return stub
 
     def resolve(self, entry: int):
-        """Compile (or reject) the block at ``entry``; memoized."""
+        """Compile the block at leader ``entry`` into the table.
+
+        A leader whose own instruction has no template opens no block:
+        it loses its leader flag, so the scheduler goes straight to the
+        micro step there from then on.
+        """
+        insts = self.insts
+        window = _scan_window(insts, entry, self._fast_mem)
         fn = None
-        if self.leaders[entry]:
-            insts = self.insts
-            window = _scan_window(insts, entry, self._fast_mem)
-            if window:
-                key = (entry, self._tax, self._use_jitter, self._lat,
-                       tuple(_inst_sig(insts[i]) for i in window))
-                fn = _compile(key, "<trace-block>", _render_block, insts,
-                              entry, window, self._lat, self._tax,
-                              self._use_jitter)
+        if window:
+            key = (entry, self._tax, self._use_jitter, self._lat,
+                   tuple(_inst_sig(insts[i]) for i in window))
+            fn = _compile(key, "<trace-block>", _render_block, insts,
+                          entry, window, self._lat, self._tax,
+                          self._use_jitter)
+        else:
+            self.leaders[entry] = 0
         self.table[entry] = fn
         return fn
 
     def resolve_micro(self, i: int):
-        """Compile the micro function at ``i``; memoized.
+        """Compile the micro function at ``i`` into the micro table.
 
-        Every instruction gets a micro function except HALT (the
-        scheduler's legacy pop handles the ready-queue removal):
-        templated ops compile to inline bodies, everything else to an
-        exact ``core.step()`` call — so micro chains flow through slow
-        instructions without returning to the scheduler.
+        HALT's entry is ``_to_pop`` (the scheduler's pop retires the
+        core); templated ops compile to inline bodies, everything else
+        to an exact ``core.step()`` call — so micro chains flow through
+        slow instructions without returning to the scheduler.
         """
         inst = self.insts[i]
         if inst.op is Opcode.HALT:
-            fn = None
+            fn = _to_pop
         elif _includable(inst, self._fast_mem):
+            tpl = _template(inst, self._lat)
+            self._weights["busy_cycles"][i] = tpl.latency + self._tax
+            for counter in tpl.counters:
+                self._weights[counter][i] = 1
             key = ("m", i, self._tax, self._use_jitter, self._lat,
                    _inst_sig(inst))
             fn = _compile(key, "<trace-micro>", _render_micro, inst, i,
@@ -556,3 +584,18 @@ class CompiledTrace:
                           self._use_jitter)
         self.micro[i] = fn
         return fn
+
+    def flush_counts(self, stats) -> None:
+        """Add the micro fast-path counts into ``stats`` and zero them.
+
+        ``busy_cycles`` grows by count x (latency + pin tax) per pc,
+        which leaves out jitter as ``Core.step`` does.
+        """
+        counts = self.counts
+        total = sum(counts)
+        if total:
+            stats.instructions += total
+            for counter, weight in self._weights.items():
+                setattr(stats, counter, getattr(stats, counter)
+                        + sum(map(mul, counts, weight)))
+            counts[:] = [0] * len(counts)

@@ -12,7 +12,8 @@ pins that contract five ways:
   simulator engines;
 * a differential test running hypothesis-generated multi-threaded
   programs on ``Machine(engine="interp")`` and ``engine="trace"`` and
-  comparing the whole machine state at every pause;
+  comparing the whole machine state at every pause, after a
+  ``SimulationError`` too, and the event trace of a traced subset;
 * hypothesis property tests driving the vectorized detection kernels
   against their scalar twins on adversarial random batches;
 * a whole-pipeline equivalence check on randomized record streams
@@ -37,9 +38,11 @@ from repro.core.config import LaserConfig  # noqa: E402
 from repro.core.detect.linemodel import CacheLineModel, SharingType  # noqa: E402
 from repro.core.laser import Laser  # noqa: E402
 from repro.core.repair.ssb import SoftwareStoreBuffer  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
 from repro.isa.assembler import Assembler  # noqa: E402
 from repro.isa.instructions import Instruction, Opcode, imm, reg  # noqa: E402
 from repro.isa.program import Program  # noqa: E402
+from repro.obs.trace import EventTracer  # noqa: E402
 from repro.sim.core import CoreStats  # noqa: E402
 from repro.sim.machine import Machine  # noqa: E402
 from repro.workloads import get_workload, workload_names  # noqa: E402
@@ -140,6 +143,39 @@ def test_registry_replays_identically_under_both_sim_engines(name,
     """LASER on, seed 0, scale 0.25: the trace engine changes nothing."""
     assert _replay(name, "trace", monkeypatch) == \
         _replay(name, "interp", monkeypatch)
+
+
+def test_streams_too_long_for_micro_pcs_match_interpreter(monkeypatch):
+    """A stream past the micro pc field runs on blocks and the pop alone.
+
+    Shrinking the field to 3 bits makes every thread of a real workload
+    too long for it: each micro entry must then hand the core to the
+    scheduler's pop, and the run must stay the interpreter's.
+    """
+    import repro.sim.trace as trace_module
+
+    monkeypatch.setattr(trace_module, "_MICRO_PC_MASK", 7)
+
+    def run(engine):
+        built = get_workload("linear_regression").build(
+            heap_offset=0, seed=0, scale=0.25)
+        machine = Machine(built.program, seed=0, allocator=built.allocator,
+                          engine=engine)
+        built.apply_init(machine)
+        slices = []
+        for until in (20_000, None):
+            result = machine.run(until_cycle=until)
+            slices.append((result.cycles, result.finished,
+                           [_stats(core) for core in machine.cores],
+                           machine._jitter_rng.getstate()))
+        assert not slices[0][1] and slices[1][1]
+        return machine, slices
+
+    machine, got = run("trace")
+    for core in machine.cores:
+        assert len(core.instructions) > 7
+        assert all(fn is trace_module._to_pop for fn in core._trace.micro)
+    assert got == run("interp")[1]
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +280,10 @@ def _emit_slow(th):
     elif kind == "fence":
         asm.fence()
     elif kind == "div":
-        asm.div(draw(_regs), draw(_sources), draw(_divisors))
+        # A register divisor may hold zero: the division then raises
+        # mid-burst, and both engines must stop in the same state.
+        divisor = draw(_regs) if draw(_one_in_five) == 0 else draw(_divisors)
+        asm.div(draw(_regs), draw(_sources), divisor)
     elif kind == "ssb_store":
         asm._emit(Instruction(Opcode.SSB_STORE, a=reg(8), b=draw(_operands),
                               size=size, offset=th.offset(th.lines, size)))
@@ -325,9 +364,10 @@ def _cases(draw):
     lines = draw(st.integers(1, 3))
     ssb = draw(st.booleans())
     threads = [draw(_threads(tid, lines, ssb and tid == 0))
-               for tid in range(draw(st.integers(1, 4)))]
+               for tid in range(draw(st.integers(1, 9)))]
     return _Case(
         threads, ssb=ssb, jitter=draw(st.booleans()),
+        traced=draw(_one_in_five) == 0,
         seed=draw(st.integers(0, 3)),
         hitm_stall=draw(st.sampled_from((0, 1, 40))),
         memop_stall=draw(st.none() | st.integers(0, 3)),
@@ -336,11 +376,21 @@ def _cases(draw):
 
 
 def _machine_state(machine, result, log):
+    """Everything a slice leaves behind.
+
+    ``result`` is the slice's RunResult, or the ``SimulationError`` it
+    raised.  A machine that raised cannot resume, so its ready queue is
+    left out then.
+    """
     directory = machine.directory
     ssb = machine.cores[0].ssb
+    if isinstance(result, SimulationError):
+        head = {"cycles": machine.cycle, "error": str(result)}
+    else:
+        head = {"cycles": (result.cycles, result.finished, machine.cycle),
+                "ready": sorted(getattr(machine, "_ready", []))}
     return {
-        "cycles": (result.cycles, result.finished, machine.cycle),
-        "ready": sorted(getattr(machine, "_ready", [])),
+        **head,
         "registers": [list(core.registers) for core in machine.cores],
         "pcs": [(core.pc_index, core.state) for core in machine.cores],
         "stats": [_stats(core) for core in machine.cores],
@@ -361,10 +411,16 @@ def _machine_state(machine, result, log):
     }
 
 
-def _run_case(case, engine):
-    """Per-slice machine states of one case under one engine."""
+def _run_case(case, engine, tracer=None):
+    """Per-slice machine states of one case under one engine.
+
+    ``num_cores`` is at least the default 4; the scheduler's core-id
+    field is sized by the thread count, so 1-9 threads run it at both
+    its 3-bit and 4-bit widths.
+    """
     machine = Machine(case.program, seed=case.seed, jitter=case.jitter,
-                      engine=engine)
+                      num_cores=max(4, case.program.num_threads),
+                      tracer=tracer, engine=engine)
     if case.ssb:
         machine.cores[0].ssb = SoftwareStoreBuffer(machine, core_id=0)
     log = []
@@ -381,11 +437,26 @@ def _run_case(case, engine):
     if case.memop_stall is not None:
         machine.on_memory_op = on_memory_op
     states = []
-    for until in case.pauses:
-        states.append(_machine_state(
-            machine, machine.run(until_cycle=until), log))
-    states.append(_machine_state(machine, machine.run(), log))
+    try:
+        for until in case.pauses:
+            states.append(_machine_state(
+                machine, machine.run(until_cycle=until), log))
+        states.append(_machine_state(machine, machine.run(), log))
+    except SimulationError as error:
+        states.append(_machine_state(machine, error, log))
     return states
+
+
+def _events(tracer):
+    return [event.as_dict() for event in tracer.events()]
+
+
+def _assert_same_slices(got, want):
+    assert len(got) == len(want)
+    for index, (g, w) in enumerate(zip(got, want)):
+        assert g.keys() == w.keys(), "slice %d ends differently" % index
+        for key in w:
+            assert g[key] == w[key], "slice %d differs in %s" % (index, key)
 
 
 @settings(max_examples=500, deadline=None,
@@ -395,18 +466,25 @@ def _run_case(case, engine):
 def test_trace_engine_matches_interpreter_on_generated_programs(case):
     """Every slice of a generated program leaves identical machine state.
 
-    The programs mix every templated opcode (register-count shifts
-    included) with accesses of 1/2/4/8 bytes that straddle lines and
-    pages, bounded loops, untemplated XADD/FENCE/DIV and, on core 0
-    with a store buffer attached, SSB stores to the shared lines and
-    SSB flushes (whose coherence transitions read ``directory.now``).
+    The programs run on 1-9 threads and mix every templated opcode
+    (register-count shifts included) with accesses of 1/2/4/8 bytes
+    that straddle lines and pages, bounded loops, untemplated
+    XADD/FENCE/DIV (a register divisor may be zero, so a slice can
+    raise mid-burst) and, on core 0 with a store buffer attached, SSB
+    stores to the shared lines and SSB flushes (whose coherence
+    transitions read ``directory.now``).  On a traced subset the
+    interpreter runs under an ``EventTracer``, and so does a second
+    trace-engine run: tracing must not move its state, and its events
+    must equal the interpreter's.
     """
-    want = _run_case(case, "interp")
+    interp_tracer = EventTracer() if case.traced else None
+    want = _run_case(case, "interp", interp_tracer)
     got = _run_case(case, "trace")
-    assert len(got) == len(want)
-    for index, (g, w) in enumerate(zip(got, want)):
-        for key in w:
-            assert g[key] == w[key], "slice %d differs in %s" % (index, key)
+    _assert_same_slices(got, want)
+    if case.traced:
+        tracer = EventTracer()
+        _assert_same_slices(_run_case(case, "trace", tracer), got)
+        assert _events(tracer) == _events(interp_tracer)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
-from repro.sim.core import CoreState
+from repro.sim.core import CoreStats
 from repro.sim.locks import (
     emit_barrier_wait,
     emit_lock_release,
@@ -186,6 +186,25 @@ class TestMachineLoop:
         asm.jmp("spin")
         with pytest.raises(SimulationError):
             Machine(Program("spin", [asm.build()])).run(max_cycles=5_000)
+
+    @pytest.mark.parametrize("engine", ["interp", "trace"])
+    def test_running_past_the_last_instruction_raises(self, engine):
+        asm = Assembler()
+        asm.mov("r0", 1)
+        asm.add("r0", "r0", 2)  # no HALT: the next fetch is out of range
+        machine = Machine(Program("no_halt", [asm.build()]), jitter=False,
+                          engine=engine)
+        with pytest.raises(SimulationError) as info:
+            machine.run()
+        assert type(info.value) is SimulationError
+        assert str(info.value) == \
+            "core 0 ran past its last instruction: pc 2 of 2"
+        assert machine.cycle == 2
+        stats = machine.cores[0].stats
+        want = dict.fromkeys(CoreStats.__slots__, 0)
+        want.update(instructions=2, busy_cycles=2)
+        assert {slot: getattr(stats, slot)
+                for slot in CoreStats.__slots__} == want
 
     def test_too_many_threads_rejected(self):
         threads = []
