@@ -54,8 +54,6 @@ class LaserConfig:
         control_recover_after: int = 3,
         control_passthrough_after: int = 6,
         race_gate: bool = False,
-        static_prefilter: bool = False,
-        profile_enabled: bool = False,
         trace_spans: bool = False,
     ):
         if sample_after_value < 1:
@@ -132,17 +130,6 @@ class LaserConfig:
         #: racy line would mask a correctness bug.  Off by default so
         #: default runs stay bit-identical to the golden pins.
         self.race_gate = race_gate
-        #: Feed the certificate's shared-line set to the detector's
-        #: record filter so sampling budget is spent only on lines
-        #: static analysis says can be shared.  Fail-open: applied only
-        #: when the certificate is complete (no clipped footprints).
-        self.static_prefilter = static_prefilter
-        #: Host-time profiling (``repro.obs.profile``): attribute host
-        #: wall-clock per scheduler slice to each service plus the sim
-        #: core and PEBS drain.  Off by default — a disabled profiler
-        #: costs one branch per hook, and the profiler only *reads* the
-        #: host clock, so simulated outputs are bit-identical on or off.
-        self.profile_enabled = profile_enabled
         #: Causal span events (``repro.obs.spans``): emit the extra
         #: ``detect.batch`` trace events that let the span builder link
         #: record batches to the windows and repairs they caused.  Off

@@ -6,21 +6,8 @@ records whose PC does not come from the application or its libraries are
 dropped as spurious.  Records whose *data address* lies on a thread
 stack are also dropped, as stacks "are unlikely to be shared between
 threads and thus unlikely to be sources of cache contention."
-
-An optional third stage consumes the static sharing certificate
-(``repro.static.race``): when a line-priority set is installed, records
-whose data address falls on a *heap* cache line the certifier proved
-thread-local are dropped before they cost pipeline work — the detector
-spends its budget where static analysis says sharing can exist.  The
-stage judges only addresses the certificate can speak about: records
-whose data address is unmapped (PEBS imprecision makes many data
-addresses garbage, while their PCs still carry aggregation evidence)
-or in a non-heap region pass through untouched.
 """
 
-from typing import FrozenSet, Iterable, Optional
-
-from repro._constants import CACHE_LINE_SIZE
 from repro.pebs.events import StrippedRecord
 from repro.sim.vmmap import RegionKind, VirtualMemoryMap
 
@@ -32,22 +19,16 @@ __all__ = ["RecordFilter"]
 _KIND_CODES = {kind: code for code, kind in enumerate(RegionKind)}
 _APP_CODE = _KIND_CODES[RegionKind.APP_CODE]
 _LIB_CODE = _KIND_CODES[RegionKind.LIB_CODE]
-_HEAP_CODE = _KIND_CODES[RegionKind.HEAP]
 _STACK_CODE = _KIND_CODES[RegionKind.STACK]
 
 
 class RecordFilter:
     """Memory-map based record filtering."""
 
-    def __init__(self, vmmap: VirtualMemoryMap,
-                 line_priorities: Optional[Iterable[int]] = None):
+    def __init__(self, vmmap: VirtualMemoryMap):
         self.vmmap = vmmap
-        #: Cache lines worth detection budget (None = admit everything).
-        self.line_priorities: Optional[FrozenSet[int]] = (
-            None if line_priorities is None else frozenset(line_priorities))
         self.dropped_bad_pc = 0
         self.dropped_stack_addr = 0
-        self.dropped_unprioritized = 0
         self.passed = 0
         # SoA region tables for admit_batch, built on first batch (the
         # map's region set is fixed once the machine is composed).
@@ -61,13 +42,6 @@ class RecordFilter:
         if self.vmmap.is_stack_address(record.data_addr):
             self.dropped_stack_addr += 1
             return False
-        if (self.line_priorities is not None
-                and record.data_addr // CACHE_LINE_SIZE
-                not in self.line_priorities
-                and self.vmmap.classify(record.data_addr)
-                is RegionKind.HEAP):
-            self.dropped_unprioritized += 1
-            return False
         self.passed += 1
         return True
 
@@ -76,7 +50,7 @@ class RecordFilter:
     # ------------------------------------------------------------------
 
     def _region_tables(self, np):
-        """(starts, ends, kinds, priority_lines) arrays for the map."""
+        """(starts, ends, kinds) arrays for the map."""
         if self._tables is None:
             regions = self.vmmap.regions()
             regions.sort(key=lambda r: r.start)
@@ -86,16 +60,12 @@ class RecordFilter:
                                count=len(regions))
             kinds = np.fromiter((_KIND_CODES[r.kind] for r in regions),
                                 np.int64, count=len(regions))
-            prio = None
-            if self.line_priorities is not None:
-                prio = np.fromiter(sorted(self.line_priorities), np.uint64,
-                                   count=len(self.line_priorities))
-            self._tables = (starts, ends, kinds, prio)
+            self._tables = (starts, ends, kinds)
         return self._tables
 
     def _classify_batch(self, values, np):
         """Region-kind code per address (``-1`` = unmapped)."""
-        starts, ends, kinds, _prio = self._region_tables(np)
+        starts, ends, kinds = self._region_tables(np)
         slot = np.searchsorted(starts, values, side="right") - 1
         clipped = np.maximum(slot, 0)
         mapped = (slot >= 0) & (values < ends[clipped])
@@ -113,13 +83,6 @@ class RecordFilter:
         app = (pc_kind == _APP_CODE) | (pc_kind == _LIB_CODE)
         stack = app & (addr_kind == _STACK_CODE)
         admitted = app & ~stack
-        if self.line_priorities is not None:
-            prio = self._region_tables(np)[3]
-            line = addr // np.uint64(CACHE_LINE_SIZE)
-            unprioritized = (admitted & (addr_kind == _HEAP_CODE)
-                             & ~np.isin(line, prio))
-            self.dropped_unprioritized += int(unprioritized.sum())
-            admitted = admitted & ~unprioritized
         self.dropped_bad_pc += int((~app).sum())
         self.dropped_stack_addr += int(stack.sum())
         self.passed += int(admitted.sum())
@@ -127,5 +90,4 @@ class RecordFilter:
 
     @property
     def total_seen(self) -> int:
-        return (self.passed + self.dropped_bad_pc + self.dropped_stack_addr
-                + self.dropped_unprioritized)
+        return self.passed + self.dropped_bad_pc + self.dropped_stack_addr

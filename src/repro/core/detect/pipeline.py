@@ -63,7 +63,6 @@ class DetectionPipeline:
         sample_after_value: int,
         record_cost: int = DETECTOR_RECORD_COST,
         tracer=None,
-        line_priorities: Optional[Iterable[int]] = None,
         engine: str = "auto",
     ):
         #: Resolved record/detection engine (``"numpy"``/``"python"``);
@@ -71,7 +70,7 @@ class DetectionPipeline:
         #: scalar per-record loop.  Observationally invisible.
         self.engine = resolve_engine(engine)
         self.program = program
-        self.filter = RecordFilter(vmmap, line_priorities=line_priorities)
+        self.filter = RecordFilter(vmmap)
         self.aggregator = LineAggregator(program, sample_after_value)
         self.load_store_sets = LoadStoreSets.from_program(program)
         self.line_model = CacheLineModel()

@@ -87,11 +87,9 @@ class RunHealth:
         HealthField("control_poll_max_excess"),
         HealthField("control_stuck_intervals"),
         # Static race certification (``repro.static.race``).  Info
-        # fields: a quarantined repair is the gate *working* (refusing
-        # to mask a certified race), and statically-filtered records
-        # are deliberate budget savings, not loss.
+        # field: a quarantined repair is the gate *working* (refusing
+        # to mask a certified race).
         HealthField("repairs_quarantined", info=True),
-        HealthField("records_filtered_static", info=True),
         # Observability (``repro.obs``).  Info: trace events evicted
         # from the tracer's ring buffer are a capacity-sizing signal,
         # not a run degradation — the run behaves identically with or

@@ -45,7 +45,6 @@ from repro.core.services import (
     TelemetryService,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs.profile import NULL_PROFILER, HostProfiler
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.trace import NULL_TRACER, EventTracer
 from repro.pebs.driver import KernelDriver
@@ -74,7 +73,6 @@ class LaserRunResult:
         health: Optional[RunHealth] = None,
         telemetry: Optional[RunTelemetry] = None,
         resilience: Optional[ResilienceRuntime] = None,
-        profile: Optional[HostProfiler] = None,
     ):
         self.cycles = cycles
         self.report = report
@@ -92,10 +90,6 @@ class LaserRunResult:
         #: Crash-recovery bundle (``repro.resilience``), or ``None``
         #: when ``config.resilience_enabled`` is off.
         self.resilience = resilience
-        #: Host-time profiler (``repro.obs.profile``) with this run's
-        #: wall-clock breakdown, or ``None`` when
-        #: ``config.profile_enabled`` is off.
-        self.profile = profile
 
     @property
     def detector_cycles(self) -> int:
@@ -179,19 +173,12 @@ class Laser:
             if config.trace_enabled else NULL_TRACER
         )
         telemetry = RunTelemetry(tracer=tracer)
-        # Host-time profiling follows the same discipline: one shared
-        # profiler (or the NULL_PROFILER), reading only the host clock,
-        # so simulated outputs are bit-identical on or off.
-        profiler = (
-            HostProfiler() if config.profile_enabled else NULL_PROFILER
-        )
         machine = Machine(
             program,
             seed=config.seed,
             allocator=built.allocator,
             fault_injector=injector,
             tracer=tracer,
-            profiler=profiler,
             engine=sim_engine,
         )
         built.apply_init(machine)
@@ -211,7 +198,6 @@ class Laser:
         driver = KernelDriver(
             injector=injector, tracer=tracer,
             journal=runtime.journal if runtime is not None else None,
-            profiler=profiler,
             engine=engine,
         )
         pmu = PerformanceMonitoringUnit(
@@ -223,30 +209,21 @@ class Laser:
             tracer=tracer,
         )
         machine.on_hitm = pmu.on_hitm
-        # Static race certification: computed only when a knob asks for
-        # it, so default runs stay bit-identical to the golden pins.
+        # Static race certification: computed only when the repair gate
+        # asks for it, so default runs stay bit-identical to the golden
+        # pins.
         certificate = None
-        if config.race_gate or config.static_prefilter:
+        if config.race_gate:
             certificate = certify_built(built)
             tracer.emit(
                 "static.certificate", 0,
                 unsafe=certificate.unsafe,
                 racy_lines=len(certificate.racy_lines()),
-                priority_lines=len(certificate.priority_lines()),
                 complete=certificate.complete,
             )
-        # The certificate-derived prefilter is fail-open: applied only
-        # when the certifier classified *every* footprint (a clipped
-        # footprint means a line could be shared without appearing in
-        # the priority set).
-        line_priorities = None
-        if (config.static_prefilter and certificate is not None
-                and certificate.complete):
-            line_priorities = certificate.priority_lines()
         pipeline = DetectionPipeline(
             program, machine.vmmap, config.sample_after_value,
-            tracer=tracer, line_priorities=line_priorities,
-            engine=engine,
+            tracer=tracer, engine=engine,
         )
         ctx = RunContext(
             config=config, machine=machine, program=program,
@@ -255,7 +232,7 @@ class Laser:
             driver=driver, pmu=pmu,
             pipeline=pipeline, repairer=self.repairer, runtime=runtime,
             st=DetectorState(), certificate=certificate,
-            profiler=profiler, transport=self.transport,
+            transport=self.transport,
         )
         resilience = ResilienceService()
         scheduler = Scheduler(
@@ -280,5 +257,4 @@ class Laser:
             health=ctx.health,
             telemetry=telemetry,
             resilience=runtime,
-            profile=profiler if config.profile_enabled else None,
         )

@@ -21,7 +21,6 @@ stale; trusting its attachment flags could double-attach).
 
 from typing import List
 
-from repro.obs.profile import NULL_PROFILER
 from repro.resilience import Backoff
 
 __all__ = ["DetectorState", "RunContext", "ssb_buffers", "ssb_totals",
@@ -105,13 +104,11 @@ class RunContext:
                  "repairer", "runtime", "st", "scheduler",
                  "interval", "recovery", "poll_records", "polled",
                  "was_down", "poll_interval_cycles", "control_mode",
-                 "poll_lag_cycles", "certificate", "profiler",
-                 "transport")
+                 "poll_lag_cycles", "certificate", "transport")
 
     def __init__(self, config, machine, program, injector, tracer,
                  telemetry, health, driver, pmu, pipeline, repairer,
-                 runtime, st, certificate=None, profiler=None,
-                 transport=None):
+                 runtime, st, certificate=None, transport=None):
         self.config = config
         self.machine = machine
         self.program = program
@@ -124,15 +121,12 @@ class RunContext:
         self.pipeline = pipeline
         self.repairer = repairer
         #: The static :class:`~repro.static.race.SharingCertificate`
-        #: for this program, or ``None`` when neither ``race_gate`` nor
-        #: ``static_prefilter`` asked for one.
+        #: for this program, or ``None`` unless ``race_gate`` asked for
+        #: one.
         self.certificate = certificate
         #: Crash-recovery runtime (``repro.resilience``), or ``None``
         #: when ``config.resilience_enabled`` is off.
         self.runtime = runtime
-        #: Host-time profiler (``repro.obs.profile``); the shared
-        #: NULL_PROFILER unless ``config.profile_enabled``.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Client-to-shard record transport (``repro.fleet``), or
         #: ``None`` on every single-run path.  When attached, the
         #: driver-poll service consults it before each read — the

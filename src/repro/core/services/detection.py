@@ -139,5 +139,3 @@ class DetectionService(Service):
 
     def health(self, ctx) -> None:
         ctx.health.undecodable_pcs = ctx.pipeline.stats.undecodable_pcs
-        ctx.health.records_filtered_static = (
-            ctx.pipeline.filter.dropped_unprioritized)

@@ -32,12 +32,9 @@ The machine slice length is ``ctx.poll_interval_cycles`` — the
 *actuated* poll cadence, which starts at the configured check interval
 and is the overload controller's second knob.
 
-When host-time profiling is on (``config.profile_enabled``), each
-fan-out opens a profiler span for the slice and a nested span per
-service, so the breakdown attributes wall time to every service at
-every lifecycle moment.  The profiler reads only the host clock —
-simulated behavior is identical with profiling on or off — and a
-disabled profiler reduces every fan-out to the plain loop.
+The kernel carries no host-cost hooks: perfbench's traced pass wraps
+the service hooks from outside to time them, and
+:func:`repro.obs.profile.count_bytecodes` counts their bytecodes.
 """
 
 __all__ = ["Scheduler"]
@@ -93,28 +90,11 @@ class Scheduler:
     # The run loop
     # ------------------------------------------------------------------
 
-    def _fan(self, slice_name, order, hook):
-        """Fan one lifecycle hook across ``order``, profiled per service.
-
-        The profiled branch is kept out of the common path: a disabled
-        profiler makes this a plain method-dispatch loop.
-        """
+    def _fan(self, order, hook):
+        """Fan one lifecycle hook across ``order``."""
         ctx = self.ctx
-        profiler = ctx.profiler
-        if not profiler.enabled:
-            for service in order:
-                getattr(service, hook)(ctx)
-            return
-        profiler.begin(slice_name)
-        try:
-            for service in order:
-                profiler.begin(service.name)
-                try:
-                    getattr(service, hook)(ctx)
-                finally:
-                    profiler.end()
-        finally:
-            profiler.end()
+        for service in order:
+            getattr(service, hook)(ctx)
 
     def run(self, max_cycles: int):
         """Drive the machine to completion; returns the final report."""
@@ -126,20 +106,20 @@ class Scheduler:
             check_interval=config.check_interval_cycles,
             repair_enabled=config.repair_enabled,
         )
-        self._fan("start", self.services, "on_start")
+        self._fan(self.services, "on_start")
         next_check = ctx.poll_interval_cycles
         while True:
             result = machine.run(until_cycle=next_check,
                                  max_cycles=max_cycles)
             ctx.begin_interval()
-            self._fan("poll", self._poll_order, "on_poll")
+            self._fan(self._poll_order, "on_poll")
             if result.finished:
                 break
             next_check = machine.cycle + ctx.poll_interval_cycles
             if not ctx.polled:
                 continue  # a stalled, crashed or down detector evaluates nothing
-            self._fan("check", self._check_order, "on_check_interval")
-        self._fan("exit", self._exit_order, "on_exit")
+            self._fan(self._check_order, "on_check_interval")
+        self._fan(self._exit_order, "on_exit")
         report = ctx.pipeline.report(machine.cycle, config.rate_threshold)
         for service in self.services:
             service.health(ctx)

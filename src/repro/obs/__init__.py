@@ -1,4 +1,4 @@
-"""Unified run observability: event tracing, windowed telemetry, profiling.
+"""Unified run observability: event tracing, windowed telemetry, counts.
 
 LASER's whole argument is deployability — an *online* monitor whose
 overhead and decisions must be legible to operators.  This package is
@@ -12,10 +12,11 @@ the measurement layer that makes a run legible:
   run opens directly in Perfetto.
 * :mod:`repro.obs.telemetry` — the per-run bundle: the tracer and the
   per-window time series exposed on ``LaserRunResult.telemetry``.
-* :mod:`repro.obs.profile` — the host-time profiler: scheduler/service
-  lifecycle hooks attributing host wall-clock to each of the six
-  services plus the sim core and PEBS drain, rendered as an ASCII
-  flame-style self-time table (``python -m repro.obs profile``).
+* :mod:`repro.obs.profile` — exact bytecode counts: runs a callable
+  under the interpreter's instruction events, from outside the program,
+  and charges each bytecode to the ``repro`` function that ran it
+  (``python -m repro.obs profile``).  Host *time* per layer is
+  perfbench's traced pass.
 * :mod:`repro.obs.spans` — causal span tracing: promotes the flat
   trace events into flow trees (records → window → threshold → repair
   lifecycle) exported as Chrome trace_event flow arrows
@@ -27,9 +28,8 @@ the measurement layer that makes a run legible:
 
 # NOTE: this package is imported by the components it instruments
 # (sim.machine, pebs, detect, repair), so the package init must stay
-# dependency-light: trace/telemetry/profile only.  ``repro.obs.spans``
-# is imported explicitly where it is used.
-from repro.obs.profile import NULL_PROFILER, HostProfiler, render_profile
+# dependency-light: trace/telemetry only.  ``repro.obs.spans`` and
+# ``repro.obs.profile`` are imported explicitly where they are used.
 from repro.obs.telemetry import RunTelemetry, WindowStats
 from repro.obs.trace import NULL_TRACER, EventTracer, TraceEvent
 
@@ -39,7 +39,4 @@ __all__ = [
     "NULL_TRACER",
     "WindowStats",
     "RunTelemetry",
-    "HostProfiler",
-    "NULL_PROFILER",
-    "render_profile",
 ]

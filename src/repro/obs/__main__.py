@@ -6,15 +6,16 @@ record flow and repair state) and the per-component cycle breakdown
 plus the repair/degradation lifecycle events from the trace.
 
 Subcommands extend the report into the performance observatory:
-``profile`` renders the host-time flame table (where the *wall clock*
-went, as opposed to simulated cycles), and ``spans`` renders the causal
+``profile`` counts the bytecodes the host interpreter executes for one
+run, per layer, per function and per simulated instruction (exact and
+repeatable, as opposed to host time), and ``spans`` renders the causal
 flow trees linking record batches to the repairs they caused.
 
 Examples::
 
     python -m repro.obs linear_regression
     python -m repro.obs kmeans --seed 3 --trace kmeans_trace.json
-    python -m repro.obs profile histogram --json prof.json
+    python -m repro.obs profile "histogram'" --scale 0.25 --json prof.json
     python -m repro.obs spans histogram' --out spans_trace.json
     python -m repro.obs --smoke          # CI smoke: run + verify exports
     python -m repro.obs --list
@@ -89,12 +90,12 @@ def _lifecycle(result: LaserRunResult, limit: int = 40) -> str:
 
 def run_one(name: str, seed: int = 0, scale: float = 1.0,
             repair: bool = True, capacity: int = 65_536,
-            profile: bool = False, spans: bool = False) -> LaserRunResult:
+            spans: bool = False) -> LaserRunResult:
     from repro.workloads.registry import get_workload
 
     config = LaserConfig(seed=seed, repair_enabled=repair,
                          trace_enabled=True, trace_capacity=capacity,
-                         profile_enabled=profile, trace_spans=spans)
+                         trace_spans=spans)
     return Laser(config).run_workload(get_workload(name), scale=scale)
 
 
@@ -147,38 +148,45 @@ def smoke() -> int:
 
 
 def _profile_main(argv: List[str]) -> int:
-    """``python -m repro.obs profile <workload>``: the host-time table."""
+    """``python -m repro.obs profile <workload>``: exact bytecode counts."""
     import json
+    import platform
 
-    from repro.obs.profile import render_profile
+    from repro.obs.profile import count_bytecodes
+    from repro.workloads.registry import get_workload
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs profile",
-        description="Run a workload with host-time profiling and render "
-                    "the flame-style self-time table.",
+        description="Count the bytecodes one untraced monitored run "
+                    "executes, after one uncounted warm-up run: per "
+                    "layer, per function and per simulated instruction.",
     )
     parser.add_argument("workload", nargs="?", default="linear_regression")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--no-repair", action="store_true")
     parser.add_argument("--json", metavar="FILE",
-                        help="also write the breakdown as JSON")
+                        help="also write the counts as JSON")
     args = parser.parse_args(argv)
 
-    result = run_one(args.workload, seed=args.seed, scale=args.scale,
-                     repair=not args.no_repair, profile=True)
-    print(render_profile(
-        result.profile,
-        title="== host-time profile: %s (%d simulated cycles)"
-              % (args.workload, result.cycles),
-    ))
-    shares = result.profile.aggregate_shares()
-    top = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
-    print("top self-time: " + "  ".join(
-        "%s=%.1f%%" % (label, 100.0 * share) for label, share in top))
+    workload = get_workload(args.workload)
+    config = LaserConfig(seed=args.seed, repair_enabled=not args.no_repair)
+
+    def run() -> LaserRunResult:
+        return Laser(config).run_workload(workload, scale=args.scale)
+
+    # The warm-up pays for imports and compiled trace code, so the count
+    # is of a run in steady state, as perfbench's warm-up cell does.
+    run()
+    result, profile = count_bytecodes(run)
+    instructions = sum(core.stats.instructions
+                       for core in result.machine.cores)
+    print("== bytecodes: %s (%d simulated cycles), Python %s"
+          % (args.workload, result.cycles, platform.python_version()))
+    print(profile.render(instructions))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(result.profile.as_dict(), fh, sort_keys=True, indent=1)
+            json.dump(profile.as_dict(instructions), fh, indent=1)
             fh.write("\n")
         print("wrote profile JSON to %s" % args.json)
     return 0
@@ -230,7 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.obs",
         description="Run a workload under LASER with tracing on and "
                     "print the phase timeline + cycle breakdown.  "
-                    "Subcommands: profile (host-time flame table), "
+                    "Subcommands: profile (bytecode counts), "
                     "spans (causal flow trees).",
     )
     parser.add_argument("workload", nargs="?", default="linear_regression",

@@ -1,247 +1,238 @@
-"""Host-time profiler: where the *wall clock* goes during a run.
+"""Exact bytecode counts: where the host interpreter's work goes in a run.
 
-The simulator's own accounting (Figure 12, ``experiments.overhead``) is
-in *simulated* cycles — it can say the kernel driver cost the monitored
-application 2%, but it cannot say which Python code burned the host's
-time producing that answer.  That blind spot is exactly what a
-vectorization PR needs lit: before making the hot path 10x faster, one
-must know whether the hot path is the simulator core, the PEBS drain,
-or one of the six lifecycle services.
+perfbench (``perfbench/run.py``) is the measure of record for host
+time, and its traced pass splits that time over layers.  Time on a
+shared host moves by a few percent between identical runs; the number
+of bytecodes a deterministic run executes repeats exactly, so a count
+resolves a parent -> change shift that timing cannot.
 
-:class:`HostProfiler` is the same shape as the event tracer
-(:mod:`repro.obs.trace`): a shared object every instrumented component
-holds, guarded by ``profiler.enabled`` so a disabled profiler costs one
-attribute load and a branch per site, and a process-wide
-:data:`NULL_PROFILER` that never records.  Crucially the profiler only
-*reads* the host clock — it never touches simulated cycles, RNG streams
-or any component state, so a profiled run's simulated outputs are
-bit-identical to an unprofiled one (regression-tested against the
-golden pins).
+:func:`count_bytecodes` runs a callable under the interpreter's own
+instruction events -- ``sys.monitoring`` INSTRUCTION events where the
+interpreter has them (3.12+), ``sys.settrace`` opcode events before --
+and charges each bytecode to a row ``module:function`` of the ``repro``
+package (the module path without ``repro.``, e.g.
+``sim.machine:_run_slice_traced``).  Code compiled by
+:mod:`repro.sim.trace` is charged to its filename, ``<trace-block>`` or
+``<trace-micro>``.  Code outside the package (the standard library,
+numpy's Python layer) is charged to its nearest ``repro`` caller, so
+every row names code of this project; bytecodes with no ``repro`` frame
+between them and the counted callable go to ``<other>``.
 
-Categories form a small tree keyed by *path*: the scheduler opens one
-span per slice (``start``/``poll``/``check``/``exit``) and one nested
-span per service, the machine opens ``sim.core`` around each run
-slice, and the kernel driver opens ``pebs.drain`` around its full
-drain.  ``begin``/``end`` maintain a stack; the time a span spends in
-its children is subtracted, so the breakdown is *self time* — shares
-sum to 100% of profiled wall time with no double counting.
+Counting only observes: the counted run's simulated outputs equal an
+uncounted run's.  It makes a run 15-80x slower, so count one cell or
+one small run, never time one.  Bytecode differs between Python minor
+versions: compare counts taken on one interpreter.
 
-Rendering: :func:`render_profile` is an ASCII flame-style table
-(indentation is call-tree depth); :meth:`HostProfiler.as_dict` is the
-machine-readable export behind ``python -m repro.obs profile --json``.
+``python -m repro.obs profile <workload>`` prints a count per layer
+(module), per function and per simulated instruction.
 """
 
-import time
-from typing import Dict, List, Optional, Tuple
+import os
+import sys
+from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["HostProfiler", "NULL_PROFILER", "render_profile"]
+import repro
+
+__all__ = ["OTHER", "BytecodeProfile", "count_bytecodes"]
 
 #: Bump on any backwards-incompatible change to the export layout.
-PROFILE_SCHEMA = "laser-host-profile/v1"
+PROFILE_SCHEMA = "laser-bytecode-profile/v1"
 
-#: Canonical leaf labels of the run kernel's profiled categories, in
-#: scheduler slice order (the six services) plus the two hot sinks
-#: outside the service fan-outs.  ``aggregate_shares`` reports these
-#: even when zero, so the JSON export has a stable key set.
-KERNEL_CATEGORIES = (
-    "sim.core",
-    "pebs.drain",
-    "resilience",
-    "driver_poll",
-    "detection",
-    "repair",
-    "telemetry",
-    "control",
-)
+#: Row of the bytecodes that have no ``repro`` frame to be charged to.
+OTHER = "<other>"
+
+#: Function rows :meth:`BytecodeProfile.render` prints.
+_TOP_ROWS = 25
+
+#: Filenames ``repro.sim.trace`` compiles generated code under.
+_GENERATED = ("<trace-block>", "<trace-micro>")
+
+_PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
-class HostProfiler:
-    """Stack-based self-time accumulator over ``time.perf_counter_ns``.
+def _row_of(code) -> Optional[str]:
+    """The row a code object's bytecodes count in, ``None`` if foreign."""
+    filename = code.co_filename
+    if filename in _GENERATED:
+        return filename
+    if not (filename.startswith(_PACKAGE_DIR) and filename.endswith(".py")):
+        return None
+    parts = filename[len(_PACKAGE_DIR):-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return "%s:%s" % (".".join(parts) or "repro", code.co_name)
 
-    ``begin(label)`` pushes a span; ``end()`` pops it and charges the
-    elapsed time *minus the time spent in nested spans* to the span's
-    path (the tuple of labels on the stack).  Paths keep parent context
-    — ``("poll", "driver_poll", "pebs.drain")`` is a different row from
-    ``("exit", "detection", "pebs.drain")`` — which is what makes the
-    rendered table flame-shaped.
+
+class BytecodeProfile:
+    """Bytecodes counted per row, with per-layer and per-instruction views.
+
+    A row's layer is its module (the part before ``:``); ``<trace-block>``,
+    ``<trace-micro>`` and ``<other>`` are layers of their own.
     """
 
-    __slots__ = ("enabled", "_stack", "_self_ns", "_calls")
+    def __init__(self, counts: Dict[str, int]):
+        self.counts = dict(counts)
+        self.total = sum(self.counts.values())
 
-    def __init__(self, enabled: bool = True):
-        #: Hot-path guard, same discipline as ``EventTracer.enabled``.
-        self.enabled = enabled
-        # Stack frames are [label, start_ns, child_ns] lists.
-        self._stack: List[list] = []
-        self._self_ns: Dict[Tuple[str, ...], int] = {}
-        self._calls: Dict[Tuple[str, ...], int] = {}
+    def layers(self) -> Dict[str, int]:
+        """Bytecodes per layer."""
+        out: Dict[str, int] = {}
+        for row, count in self.counts.items():
+            layer = row.split(":", 1)[0]
+            out[layer] = out.get(layer, 0) + count
+        return out
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-
-    def begin(self, label: str) -> None:
-        if not self.enabled:
-            return
-        self._stack.append([label, time.perf_counter_ns(), 0])
-
-    def end(self) -> None:
-        if not self.enabled:
-            return
-        if not self._stack:
-            raise RuntimeError("profiler end() without a matching begin()")
-        label, start_ns, child_ns = self._stack.pop()
-        elapsed = time.perf_counter_ns() - start_ns
-        path = tuple(frame[0] for frame in self._stack) + (label,)
-        self._self_ns[path] = (
-            self._self_ns.get(path, 0) + max(0, elapsed - child_ns)
-        )
-        self._calls[path] = self._calls.get(path, 0) + 1
-        if self._stack:
-            self._stack[-1][2] += elapsed
-
-    # ------------------------------------------------------------------
-    # Querying
-    # ------------------------------------------------------------------
-
-    @property
-    def total_ns(self) -> int:
-        """Profiled wall time: the sum of every path's self time."""
-        return sum(self._self_ns.values())
-
-    def paths(self) -> List[Tuple[str, ...]]:
-        """Recorded paths, parents before children, siblings by cost."""
-        ordered: List[Tuple[str, ...]] = []
-
-        def visit(prefix: Tuple[str, ...]) -> None:
-            children = sorted(
-                {
-                    path[: len(prefix) + 1]
-                    for path in self._self_ns
-                    if path[: len(prefix)] == prefix and len(path) > len(prefix)
-                },
-                key=lambda p: -self.subtree_ns(p),
-            )
-            for child in children:
-                if child in self._self_ns:
-                    ordered.append(child)
-                visit(child)
-
-        visit(())
-        return ordered
-
-    def subtree_ns(self, prefix: Tuple[str, ...]) -> int:
-        """Self time of a path plus all of its descendants."""
-        return sum(
-            ns for path, ns in self._self_ns.items()
-            if path[: len(prefix)] == prefix
-        )
-
-    def self_ns(self, path: Tuple[str, ...]) -> int:
-        return self._self_ns.get(path, 0)
-
-    def calls(self, path: Tuple[str, ...]) -> int:
-        return self._calls.get(path, 0)
-
-    def aggregate_shares(self) -> Dict[str, float]:
-        """Self-time share per *leaf label*, merged across paths.
-
-        The same service runs in several slices (poll/check/exit) and
-        the PEBS drain nests under two different services; this view
-        collapses those paths onto their leaf label — the per-service
-        breakdown.  Every kernel category is present (zero when never
-        entered) so the key set is stable across workloads.
-        """
-        total = self.total_ns
-        merged: Dict[str, int] = {label: 0 for label in KERNEL_CATEGORIES}
-        for path, ns in self._self_ns.items():
-            merged[path[-1]] = merged.get(path[-1], 0) + ns
-        if total <= 0:
-            return {label: 0.0 for label in merged}
-        return {label: ns / total for label, ns in merged.items()}
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def as_dict(self) -> Dict:
-        """Machine-readable breakdown (host-dependent; never committed
-        as an equality-checked artifact)."""
-        total = self.total_ns
-        rows = []
-        for path in self.paths():
-            self_ns = self.self_ns(path)
-            rows.append({
-                "path": "/".join(path),
-                "depth": len(path) - 1,
-                "calls": self.calls(path),
-                "self_ms": round(self_ns / 1e6, 3),
-                "share": round(self_ns / total, 4) if total else 0.0,
-            })
+    def as_dict(self, instructions: int) -> dict:
+        """Machine-readable counts of a run of ``instructions``."""
         return {
             "schema": PROFILE_SCHEMA,
-            "total_ms": round(total / 1e6, 3),
-            "rows": rows,
-            "shares": {
-                label: round(share, 4)
-                for label, share in sorted(self.aggregate_shares().items())
-            },
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "total": self.total,
+            "instructions": instructions,
+            "per_instruction": round(self.total / instructions, 3),
+            "layers": dict(sorted(self.layers().items())),
+            "rows": dict(sorted(self.counts.items())),
         }
 
-    def __repr__(self):
-        return "<HostProfiler %s %d paths, %.1f ms>" % (
-            "on" if self.enabled else "off",
-            len(self._self_ns), self.total_ns / 1e6,
-        )
+    def render(self, instructions: int) -> str:
+        """Every layer, then the costliest rows, of a run of
+        ``instructions`` simulated instructions."""
+        lines = []
+        for heading, table, limit in (("layer", self.layers(), None),
+                                      ("function", self.counts, _TOP_ROWS)):
+            ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
+            lines.append("%-44s %12s %7s %9s" % (heading, "bytecodes",
+                                                 "share", "per insn"))
+            for name, count in ranked[:limit]:
+                lines.append("%-44s %12d %6.2f%% %9.2f" % (
+                    name, count, 100.0 * count / self.total,
+                    count / instructions))
+            if limit is not None and len(ranked) > limit:
+                lines.append("... %d more rows" % (len(ranked) - limit))
+            lines.append("")
+        lines.append("total: %d bytecodes, %.2f per simulated instruction "
+                     "(%d instructions)" % (self.total,
+                                            self.total / instructions,
+                                            instructions))
+        return "\n".join(lines)
 
 
-class _NullProfiler(HostProfiler):
-    """The shared disabled profiler (same guard pattern as the tracer):
-    a distinct type so flipping ``enabled`` on it cannot start charging
-    a foreign run's spans into process-global state."""
+def count_bytecodes(fn: Callable[[], object]
+                    ) -> Tuple[object, BytecodeProfile]:
+    """Run ``fn()`` and count the bytecodes it executes.
 
-    def __init__(self):
-        super().__init__(enabled=False)
-
-    def begin(self, label: str) -> None:
-        return None
-
-    def end(self) -> None:
-        return None
-
-
-#: Process-wide disabled profiler (never records).
-NULL_PROFILER = _NullProfiler()
-
-
-def render_profile(profiler: HostProfiler, width: int = 28,
-                   title: Optional[str] = None) -> str:
-    """ASCII flame-style self-time table.
-
-    One row per recorded path, indented by depth; the bar scales to the
-    costliest row's self time.  Shares are of total *profiled* host
-    time, so the column sums to 100%.
+    Returns ``(result, profile)``, so it can serve as perfbench's
+    ``run_cell(..., monitor=count_bytecodes)``.  The trace function or
+    monitoring tools in place before the call are left as they were,
+    also when ``fn`` raises.  A count of zero means the interpreter
+    delivered no events, which raises instead of reporting an empty
+    profile.
     """
-    paths = profiler.paths()
-    if not paths:
-        return "(no host-time samples recorded — profiling off?)"
-    total = profiler.total_ns or 1
-    peak = max(profiler.self_ns(path) for path in paths) or 1
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        "%-34s %8s %10s %7s  %s"
-        % ("category (self time)", "calls", "ms", "share", "")
-    )
-    for path in paths:
-        self_ns = profiler.self_ns(path)
-        bar = "#" * int(round(width * self_ns / peak))
-        label = "  " * (len(path) - 1) + path[-1]
-        lines.append(
-            "%-34s %8d %10.3f %6.1f%%  %s"
-            % (label, profiler.calls(path), self_ns / 1e6,
-               100.0 * self_ns / total, bar)
-        )
-    lines.append("profiled host time: %.3f ms" % (total / 1e6))
-    return "\n".join(lines)
+    counts: Dict[str, int] = {}
+    if hasattr(sys, "monitoring"):
+        result = _count_monitored(fn, counts)
+    else:
+        result = _count_traced(fn, counts)
+    profile = BytecodeProfile(counts)
+    if not profile.total:
+        raise RuntimeError("counted no bytecodes: the interpreter "
+                           "delivered no instruction events")
+    return result, profile
+
+
+class _Rows:
+    """Row lookup per code object and, for foreign code, per caller.
+
+    Keyed by ``id(code)``: a code object hashes its contents on every
+    lookup (1 us on 3.11, 6 us on 3.12), once per bytecode on 3.12+.
+    """
+
+    def __init__(self, stop):
+        #: The counting frame: the walk up from a foreign frame ends here.
+        self.stop = stop
+        self._rows: Dict[int, Optional[str]] = {}
+        self._codes = []  # keeps every keyed code alive, so ids stay unique
+
+    def of_code(self, code) -> Optional[str]:
+        key = id(code)
+        try:
+            return self._rows[key]
+        except KeyError:
+            self._codes.append(code)
+            row = self._rows[key] = _row_of(code)
+            return row
+
+    def of_frame(self, frame) -> str:
+        """The row of ``frame``, or of its nearest ``repro`` caller."""
+        while frame is not None and frame is not self.stop:
+            row = self.of_code(frame.f_code)
+            if row is not None:
+                return row
+            frame = frame.f_back
+        return OTHER
+
+
+def _count_traced(fn, counts):
+    """``sys.settrace`` opcode events (Python 3.10-3.11)."""
+    rows = _Rows(sys._getframe())
+    tracers = {}
+
+    def tracer_for(row):
+        tally = [0]
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                tally[0] += 1
+            return local
+
+        tracers[row] = (local, tally)
+        return tracers[row]
+
+    def on_call(frame, event, arg):
+        row = rows.of_frame(frame)
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return (tracers.get(row) or tracer_for(row))[0]
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(previous)
+    for row, (_local, tally) in tracers.items():
+        if tally[0]:
+            counts[row] = tally[0]
+    return result
+
+
+def _count_monitored(fn, counts):
+    """``sys.monitoring`` INSTRUCTION events (Python 3.12+)."""
+    mon = sys.monitoring
+    tool = next((t for t in (mon.PROFILER_ID, *range(6))
+                 if mon.get_tool(t) is None), None)
+    if tool is None:
+        raise RuntimeError("every sys.monitoring tool id is in use")
+    here = sys._getframe()
+    own = here.f_code
+    rows = _Rows(here)
+    get = counts.get
+
+    def on_instruction(code, offset):
+        if code is own:
+            return  # this function's own frame, around the call of fn
+        row = rows.of_code(code)
+        if row is None:
+            row = rows.of_frame(sys._getframe(1))
+        counts[row] = get(row, 0) + 1
+
+    mon.use_tool_id(tool, "repro.obs.profile")
+    try:
+        mon.register_callback(tool, mon.events.INSTRUCTION, on_instruction)
+        mon.set_events(tool, mon.events.INSTRUCTION)
+        result = fn()
+    finally:
+        mon.set_events(tool, mon.events.NO_EVENTS)
+        mon.register_callback(tool, mon.events.INSTRUCTION, None)
+        mon.free_tool_id(tool)
+    return result

@@ -54,7 +54,6 @@ from repro._constants import (
     NUM_CORES,
     PEBS_BUFFER_RECORDS,
 )
-from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER
 from repro.pebs.batch import RecordBatch
 from repro.pebs.events import PebsRecord, StrippedRecord
@@ -75,7 +74,7 @@ class KernelDriver:
                  interrupt_cost: int = DRIVER_INTERRUPT_COST,
                  outbox_capacity: int = DRIVER_OUTBOX_CAPACITY,
                  injector=None, tracer=None, journal=None,
-                 profiler=None, engine: str = "python"):
+                 engine: str = "python"):
         self.num_cores = num_cores
         #: Resolved record-plane engine (``"numpy"``/``"python"``); the
         #: system runner passes :func:`repro.accel.resolve_engine`'s
@@ -90,11 +89,6 @@ class KernelDriver:
         #: Event tracer (``repro.obs.trace``); emits ``driver.drain``
         #: per buffer drain and ``driver.outbox_drop`` on overflow.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Host-time profiler; charges the full-drain path (the bulk of
-        #: the driver's host cost) to ``pebs.drain``.  The per-event
-        #: ``deliver`` hot path is intentionally unprofiled — a clock
-        #: read per event would cost more than the thing measured.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Optional write-ahead :class:`RecordJournal`; when present,
         #: every delivered record is journaled before it touches any
         #: volatile buffer.
@@ -234,18 +228,9 @@ class KernelDriver:
 
         This is the detector poll's read: the batch flows on through
         journal dedup and the vectorized pipeline without being torn
-        back into per-record Python objects.
+        back into per-record Python objects.  perfbench's traced pass
+        sizes each poll by wrapping this method by name.
         """
-        profiler = self.profiler
-        if not profiler.enabled:
-            return self._flush_batch()
-        profiler.begin("pebs.drain")
-        try:
-            return self._flush_batch()
-        finally:
-            profiler.end()
-
-    def _flush_batch(self) -> RecordBatch:
         for core in range(self.num_cores):
             self._drain_core(core)
         return self._read_batch()

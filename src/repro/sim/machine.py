@@ -18,7 +18,6 @@ from repro._constants import NUM_CORES
 from repro.accel import resolve_sim_engine
 from repro.errors import SimulationError
 from repro.isa.program import Program
-from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER
 from repro.rng import RngStreams
 from repro.sim.allocator import Allocator
@@ -84,7 +83,6 @@ class Machine:
         allocator: Optional[Allocator] = None,
         fault_injector=None,
         tracer=None,
-        profiler=None,
         engine: str = "auto",
     ):
         if program.num_threads > num_cores:
@@ -106,10 +104,6 @@ class Machine:
         #: NULL_TRACER when observability is off, so instrumentation
         #: sites can test ``tracer.enabled`` unconditionally.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Host-time profiler (``repro.obs.profile``); NULL_PROFILER
-        #: when profiling is off.  Charges the event loop's host time to
-        #: ``sim.core`` — it never touches the simulated clock.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.htm = HardwareTransactionalMemory(
             self.memory, self.directory, injector=fault_injector,
             tracer=self.tracer, clock=lambda: self.cycle,
@@ -222,20 +216,12 @@ class Machine:
         passes it (state is retained; call ``run`` again to resume) —
         this is the window mechanism the LASER system uses for periodic
         detection checks and online repair attach.  ``max_cycles`` is a
-        livelock backstop.
+        livelock backstop.  perfbench's traced pass times the machine by
+        wrapping this method by name (``perfbench/layers.py``).
         """
-        run_slice = (
-            self._run_slice_traced if self.engine == "trace"
-            else self._run_slice
-        )
-        profiler = self.profiler
-        if not profiler.enabled:
-            return run_slice(until_cycle, max_cycles)
-        profiler.begin("sim.core")
-        try:
-            return run_slice(until_cycle, max_cycles)
-        finally:
-            profiler.end()
+        if self.engine == "trace":
+            return self._run_slice_traced(until_cycle, max_cycles)
+        return self._run_slice(until_cycle, max_cycles)
 
     def _run_slice(self, until_cycle: Optional[int],
                    max_cycles: int) -> RunResult:
@@ -312,7 +298,9 @@ class Machine:
           sentinel timed past every limit.  The pick is ``active[0]`` and
           the runner-up that bounds its burst ``active[1]``.  A finished
           run leaves the sentinel first, so it enters the pause branch,
-          which rebuilds the tuple heap for resume and ``finished``.
+          which rebuilds the tuple heap for resume and ``finished``.  A
+          core whose step raises is ``active[0]``: the unwind rebuilds
+          the heap without it, as the interpreter's pop leaves it.
         * After selecting a core, it executes a *burst* of compiled
           instructions while its local time ``t`` stays within ``lb`` —
           the largest time at which ``(t, core_id)`` would still win the
@@ -447,6 +435,14 @@ class Machine:
                     self._finish_time = max(self._finish_time, next_time)
         except BaseException:
             flush_counts()
+            if huge in active:
+                # A core's step raised (the livelock raise has already
+                # taken the sentinel out and set the queue).  Like the
+                # interpreter's pop, leave every other core queued at
+                # its current time and drop the one that raised.
+                active.remove(huge)
+                self._ready = [(e >> shift, e & cid_mask)
+                               for e in active[1:]]
             raise
         flush_counts()
         self.cycle = max(self.cycle, self._finish_time)

@@ -18,8 +18,7 @@ Three layers, each usable on its own:
 * :mod:`repro.static.race` — the data-race certifier: every shared
   cache line classified RACE / SYNC_TRUE_SHARING / FALSE_SHARING /
   THREAD_LOCAL into a serializable :class:`SharingCertificate` that
-  gates repair (``LaserConfig.race_gate``) and can pre-seed the
-  detector's record filter (``LaserConfig.static_prefilter``).
+  gates repair (``LaserConfig.race_gate``).
 
 ``python -m repro.static <workload>`` prints the prediction and the
 certificate for a bundled workload (nonzero exit if unsafe);

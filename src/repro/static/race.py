@@ -50,7 +50,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -268,13 +267,6 @@ class SharingCertificate:
              if verdict is LineVerdict.RACE),
             key=lambda loc: (loc.file, loc.line),
         )
-
-    def priority_lines(self) -> Set[int]:
-        """Cache lines worth the detector's budget (any sharing at all)."""
-        return {
-            line for line, cert in self.lines.items()
-            if cert.verdict is not LineVerdict.THREAD_LOCAL
-        }
 
     def counts(self) -> Dict[str, int]:
         out = {verdict.value: 0 for verdict in LineVerdict}

@@ -379,18 +379,17 @@ def _machine_state(machine, result, log):
     """Everything a slice leaves behind.
 
     ``result`` is the slice's RunResult, or the ``SimulationError`` it
-    raised.  A machine that raised cannot resume, so its ready queue is
-    left out then.
+    raised.
     """
     directory = machine.directory
     ssb = machine.cores[0].ssb
     if isinstance(result, SimulationError):
         head = {"cycles": machine.cycle, "error": str(result)}
     else:
-        head = {"cycles": (result.cycles, result.finished, machine.cycle),
-                "ready": sorted(getattr(machine, "_ready", []))}
+        head = {"cycles": (result.cycles, result.finished, machine.cycle)}
     return {
         **head,
+        "ready": sorted(getattr(machine, "_ready", [])),
         "registers": [list(core.registers) for core in machine.cores],
         "pcs": [(core.pc_index, core.state) for core in machine.cores],
         "stats": [_stats(core) for core in machine.cores],

@@ -31,8 +31,7 @@ class TestConfig:
             max_component_restarts=1, control_enabled=True,
             control_budget_records=8, control_escalate_after=4,
             control_recover_after=5, control_passthrough_after=9,
-            race_gate=True, static_prefilter=True, profile_enabled=True,
-            trace_spans=True,
+            race_gate=True, trace_spans=True,
         )
         assert all(vars(custom)[name] != default
                    for name, default in vars(LaserConfig()).items())

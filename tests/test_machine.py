@@ -188,6 +188,33 @@ class TestMachineLoop:
             Machine(Program("spin", [asm.build()])).run(max_cycles=5_000)
 
     @pytest.mark.parametrize("engine", ["interp", "trace"])
+    def test_a_raising_core_leaves_the_other_cores_queued(self, engine):
+        def divider():
+            asm = Assembler()
+            asm.mov("r1", 0)
+            asm.mov("r0", 7)
+            asm.add("r0", "r0", 1)
+            asm.div("r0", "r0", "r1")  # raises at cycle 3
+            asm.halt()
+            return asm.build()
+
+        spin = Assembler()
+        spin.label("spin")
+        spin.add("r2", "r2", 1)
+        spin.jmp("spin")
+        for threads, ready in (([divider()], []),
+                               ([divider(), spin.build()], [(3, 1)])):
+            machine = Machine(Program("div0", threads), jitter=False,
+                              engine=engine)
+            with pytest.raises(SimulationError, match="division by zero"):
+                machine.run()
+            assert machine.cycle == 3
+            # Like the interpreter's pop: the raising core leaves the
+            # queue, every other core stays at its current time.
+            assert sorted(machine._ready) == ready
+            assert machine.finished is (not ready)
+
+    @pytest.mark.parametrize("engine", ["interp", "trace"])
     def test_running_past_the_last_instruction_raises(self, engine):
         asm = Assembler()
         asm.mov("r0", 1)

@@ -1,19 +1,20 @@
-"""Observability: tracing, telemetry, profiler, spans, the obs CLI.
+"""Observability: tracing, telemetry, bytecode counts, spans, the obs CLI.
 
 The load-bearing guarantees under test:
 
 * determinism — same seed + config produce byte-identical trace JSONL
   and windows JSONL;
 * isolation — tracing observes, it never perturbs: simulated cycles are
-  identical with tracing on, off, or ring-starved; the host-time
-  profiler and span tracing likewise leave every simulated output
-  bit-identical when enabled and byte-identical to baseline when off;
+  identical with tracing on, off, or ring-starved; counting bytecodes
+  and span tracing likewise leave every simulated output bit-identical
+  when enabled and byte-identical to baseline when off;
 * boundedness — the ring sheds oldest events and accounts for them
   (and the drop count surfaces in ``RunHealth`` without degrading it);
-* near-zero disabled cost — the per-site guard budget (tracer *and*
-  profiler) stays under 2% of run wall-clock.
+* near-zero disabled cost — the tracer's per-site guard budget stays
+  under 2% of run wall-clock.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -370,186 +371,75 @@ class TestDisabledOverhead:
 
         assert emitted * per_guard < 0.02 * run_wall
 
-    def test_profiler_guard_budget_under_two_percent(self, traced):
-        """The disabled profiler obeys the same per-site budget.
-
-        Profiler sites are far sparser than tracer sites — four slice
-        fan-outs per poll plus one per sim slice and driver drain — so
-        bound the guard count by the (much larger) event count and hold
-        it to the same 2% budget.
-        """
-        from repro.obs import NULL_PROFILER
-
-        guard_sites = traced.telemetry.tracer.events_emitted
-        profiler = NULL_PROFILER
-        iterations = 200_000
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            if profiler.enabled:  # pragma: no cover - never taken
-                raise AssertionError
-        per_guard = (time.perf_counter() - t0) / iterations
-
-        t0 = time.perf_counter()
-        traced_run(trace_enabled=False)
-        run_wall = time.perf_counter() - t0
-
-        assert guard_sites * per_guard < 0.02 * run_wall
-
 
 # ----------------------------------------------------------------------
-# Host-time profiler
+# Bytecode counts
 # ----------------------------------------------------------------------
 
-class _FakeNsClock:
-    """Scripted perf_counter_ns stand-in: deterministic profiler tests."""
-
-    def __init__(self):
-        self.now = 0
-
-    def advance(self, ns):
-        self.now += ns
-
-    def __call__(self):
-        return self.now
-
-
-@pytest.fixture
-def fake_clock(monkeypatch):
-    import repro.obs.profile as profile_mod
-
-    clock = _FakeNsClock()
-    monkeypatch.setattr(profile_mod.time, "perf_counter_ns", clock)
-    return clock
-
-
-class TestHostProfilerUnit:
-    def test_self_time_excludes_children(self, fake_clock):
-        from repro.obs import HostProfiler
-
-        profiler = HostProfiler()
-        profiler.begin("poll")
-        fake_clock.advance(100)
-        profiler.begin("detection")
-        fake_clock.advance(200)
-        profiler.end()
-        fake_clock.advance(700)
-        profiler.end()
-        assert profiler.self_ns(("poll",)) == 800
-        assert profiler.self_ns(("poll", "detection")) == 200
-        assert profiler.total_ns == 1000
-        assert profiler.calls(("poll", "detection")) == 1
-
-    def test_same_leaf_under_different_parents_is_two_paths(self, fake_clock):
-        from repro.obs import HostProfiler
-
-        profiler = HostProfiler()
-        for parent, cost in (("poll", 100), ("exit", 300)):
-            profiler.begin(parent)
-            profiler.begin("pebs.drain")
-            fake_clock.advance(cost)
-            profiler.end()
-            profiler.end()
-        assert profiler.self_ns(("poll", "pebs.drain")) == 100
-        assert profiler.self_ns(("exit", "pebs.drain")) == 300
-        # paths(): parents before children, siblings by subtree cost
-        assert profiler.paths() == [
-            ("exit",), ("exit", "pebs.drain"),
-            ("poll",), ("poll", "pebs.drain"),
-        ]
-
-    def test_aggregate_shares_merge_leaves_and_keep_stable_keys(
-            self, fake_clock):
-        from repro.obs import HostProfiler
-        from repro.obs.profile import KERNEL_CATEGORIES
-
-        profiler = HostProfiler()
-        for parent in ("poll", "exit"):
-            profiler.begin(parent)
-            profiler.begin("detection")
-            fake_clock.advance(250)
-            profiler.end()
-            profiler.end()
-        shares = profiler.aggregate_shares()
-        assert set(KERNEL_CATEGORIES) <= set(shares)
-        assert shares["detection"] == pytest.approx(1.0)
-        assert shares["repair"] == 0.0
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_unmatched_end_raises(self):
-        from repro.obs import HostProfiler
-
-        with pytest.raises(RuntimeError):
-            HostProfiler().end()
-
-    def test_null_profiler_never_records_even_if_reenabled(self):
-        from repro.obs import NULL_PROFILER
-
-        NULL_PROFILER.enabled = True
+@contextlib.contextmanager
+def _another_tracer():
+    """Install a trace function, or a monitoring tool, as a debugger would."""
+    if hasattr(sys, "monitoring"):
+        mon = sys.monitoring
+        tool = mon.PROFILER_ID
+        mon.use_tool_id(tool, "another")
+        mon.register_callback(tool, mon.events.PY_START,
+                              lambda code, offset: None)
+        mon.set_events(tool, mon.events.PY_START)
         try:
-            NULL_PROFILER.begin("poll")
-            NULL_PROFILER.end()  # would raise on a recording profiler
+            yield
         finally:
-            NULL_PROFILER.enabled = False
-        assert NULL_PROFILER.total_ns == 0
-
-    def test_as_dict_and_render_are_deterministic(self, fake_clock):
-        from repro.obs import HostProfiler, render_profile
-        from repro.obs.profile import PROFILE_SCHEMA
-
-        profiler = HostProfiler()
-        profiler.begin("poll")
-        fake_clock.advance(100_000_000)
-        profiler.begin("detection")
-        fake_clock.advance(200_000_000)
-        profiler.end()
-        fake_clock.advance(700_000_000)
-        profiler.end()
-
-        doc = profiler.as_dict()
-        assert doc["schema"] == PROFILE_SCHEMA
-        assert doc["total_ms"] == 1000.0
-        assert doc["rows"] == [
-            {"path": "poll", "depth": 0, "calls": 1,
-             "self_ms": 800.0, "share": 0.8},
-            {"path": "poll/detection", "depth": 1, "calls": 1,
-             "self_ms": 200.0, "share": 0.2},
-        ]
-
-        lines = render_profile(profiler).splitlines()
-        assert lines[1].split() == ["poll", "1", "800.000", "80.0%",
-                                    "#" * 28]
-        assert lines[2].split() == ["detection", "1", "200.000", "20.0%",
-                                    "#" * 7]
-        assert lines[2].startswith("  detection")  # depth indentation
-        assert lines[-1] == "profiled host time: 1000.000 ms"
-
-    def test_render_empty_profiler_is_a_hint_not_a_crash(self):
-        from repro.obs import HostProfiler, render_profile
-
-        assert "profiling off" in render_profile(HostProfiler())
+            mon.set_events(tool, mon.events.NO_EVENTS)
+            mon.register_callback(tool, mon.events.PY_START, None)
+            mon.free_tool_id(tool)
+    else:
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            yield
+        finally:
+            sys.settrace(previous)
 
 
-class TestProfiledRunIsolation:
-    def test_profile_off_by_default_and_result_field_none(self, traced):
-        assert traced.profile is None
+def _installed_tracers():
+    if hasattr(sys, "monitoring"):
+        mon = sys.monitoring
+        return [(mon.get_tool(tool), mon.get_events(tool))
+                for tool in range(6)]
+    return sys.gettrace()
 
-    def test_profiling_never_perturbs_the_simulation(self, traced):
-        profiled = traced_run(profile_enabled=True)
-        assert profiled.cycles == traced.cycles
-        assert profiled.health.as_dict() == traced.health.as_dict()
-        assert (profiled.telemetry.tracer.to_jsonl()
-                == traced.telemetry.tracer.to_jsonl())
 
-    def test_profiled_run_attributes_the_kernel(self):
-        profiled = traced_run(profile_enabled=True)
-        profile = profiled.profile
-        assert profile is not None and profile.total_ns > 0
-        shares = profile.aggregate_shares()
-        # The simulator core dominates every current workload.
-        assert shares["sim.core"] > 0.5
-        assert sum(shares.values()) == pytest.approx(1.0)
-        labels = {path[0] for path in profile.paths()}
-        assert {"sim.core", "poll", "exit"} <= labels
+class TestCountBytecodes:
+    def test_stdlib_call_is_charged_to_its_repro_caller(self):
+        from repro.obs.profile import OTHER, count_bytecodes
+        from repro.resilience.checkpoint import encode_state
+
+        state = {"b": [1, 2], "a": {"c": 3}}
+        row = "resilience.checkpoint:encode_state"
+        with _another_tracer():
+            before = _installed_tracers()
+            _, alone = count_bytecodes(lambda: json.dumps(
+                state, sort_keys=True, separators=(",", ":")))
+            assert _installed_tracers() == before
+            _, charged = count_bytecodes(lambda: encode_state(state))
+            assert _installed_tracers() == before
+            with pytest.raises(ZeroDivisionError):
+                count_bytecodes(lambda: encode_state(state) and 1 // 0)
+            assert _installed_tracers() == before
+        # With no repro caller, json's frames are all <other>.
+        assert set(alone.counts) == {OTHER}
+        # encode_state makes the same json.dumps call, then encodes the
+        # string: json's frames are charged to it, and only the lambda's
+        # few bytecodes stay outside.
+        assert set(charged.counts) == {OTHER, row}
+        assert charged.counts[row] > alone.total > 50
+        assert charged.counts[OTHER] < 10
+
+    def test_a_count_of_nothing_raises(self):
+        from repro.obs.profile import count_bytecodes
+
+        with pytest.raises(RuntimeError, match="counted no bytecodes"):
+            count_bytecodes(int)  # a builtin: no bytecode runs
 
 
 # ----------------------------------------------------------------------
@@ -702,25 +592,26 @@ class TestSpanTracedRun:
 
 
 class TestGoldenPinsWithObservatoryOn:
-    """ISSUE acceptance: the observatory must be free when off *and*
-    invisible to the simulation when on — a profiled run matches the
-    committed golden pins byte-for-byte (the profiler only reads the
-    host clock), and the default config leaves span tracing off so the
-    trace SHA-256 pins hold too (the services golden suite covers
-    that side)."""
+    """The observatory must be free when off *and* invisible to the
+    simulation when on — a run counted under the interpreter's
+    instruction events matches the committed golden pins byte-for-byte
+    (counting only observes), and the default config leaves span
+    tracing off so the trace SHA-256 pins hold too (the services golden
+    suite covers that side)."""
 
     def test_profiled_run_matches_committed_golden(self):
         from golden_runbuilt import _sha256, assert_cell_matches, load_golden
 
-        want = next(
-            g for g in load_golden()
-            if (g["workload"], g["seed"], g["schedule"])
-            == ("linear_regression", 0, None)
-        )
-        result = traced_run(profile_enabled=True)
+        from repro.obs.profile import count_bytecodes
+
+        # The cheapest fault-free cell keeps the counted run short.
+        want = min((g for g in load_golden() if g["schedule"] is None),
+                   key=lambda g: g["cycles"])
+        result, profile = count_bytecodes(
+            lambda: traced_run(want["workload"], seed=want["seed"]))
         got = {
-            "workload": "linear_regression",
-            "seed": 0,
+            "workload": want["workload"],
+            "seed": want["seed"],
             "schedule": None,
             "cycles": result.cycles,
             "report": result.report.render().splitlines(),
@@ -731,12 +622,12 @@ class TestGoldenPinsWithObservatoryOn:
             "windows_sha256": _sha256(result.telemetry.windows_jsonl()),
         }
         assert_cell_matches(got, want)
-        assert result.profile is not None  # it really was profiling
+        assert profile.layers()["sim.machine"] > 0  # it really counted
 
 
 class TestCliAndBench:
-    def _run(self, *argv):
-        env = dict(os.environ)
+    def _run(self, *argv, **env_overrides):
+        env = dict(os.environ, **env_overrides)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (_SRC, env.get("PYTHONPATH")) if p
         )
@@ -757,18 +648,36 @@ class TestCliAndBench:
         proc = self._run("-m", "repro.obs", "no_such_workload")
         assert proc.returncode != 0
 
+    def _profile(self, out, **env_overrides):
+        return self._run("-m", "repro.obs", "profile", "histogram",
+                         "--scale", "0.25", "--json", str(out),
+                         **env_overrides)
+
     def test_obs_cli_profile_subcommand(self, tmp_path):
         out = tmp_path / "profile.json"
-        proc = self._run("-m", "repro.obs", "profile", "histogram",
-                         "--json", str(out))
+        proc = self._profile(out)
         assert proc.returncode == 0, proc.stderr
-        assert "host-time profile: histogram" in proc.stdout
-        assert "profiled host time:" in proc.stdout
-        assert "top self-time:" in proc.stdout
+        assert "== bytecodes: histogram" in proc.stdout
+        assert "per simulated instruction" in proc.stdout
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "laser-host-profile/v1"
-        assert doc["rows"] and doc["total_ms"] > 0
-        assert "sim.core" in doc["shares"]
+        assert doc["schema"] == "laser-bytecode-profile/v1"
+        total = doc["total"]
+        assert total == sum(doc["layers"].values()) == sum(
+            doc["rows"].values())
+        assert doc["per_instruction"] == round(
+            total / doc["instructions"], 3)
+        # Nearly every bytecode is charged to a repro row.
+        assert doc["layers"].get("<other>", 0) < 0.01 * total
+        assert doc["layers"]["sim.machine"] > 0
+
+    def test_obs_cli_profile_counts_repeat_across_hash_seeds(self, tmp_path):
+        layers = []
+        for seed in ("1", "12345"):
+            out = tmp_path / ("profile-%s.json" % seed)
+            proc = self._profile(out, PYTHONHASHSEED=seed)
+            assert proc.returncode == 0, proc.stderr
+            layers.append(json.loads(out.read_text())["layers"])
+        assert layers[0] == layers[1]
 
     def test_obs_cli_spans_subcommand(self, tmp_path):
         out = tmp_path / "spans_trace.json"

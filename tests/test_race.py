@@ -11,23 +11,16 @@ codes.
 import pytest
 
 from repro.core.config import LaserConfig
-from repro.core.detect.filters import RecordFilter
 from repro.core.laser import Laser
 from repro.experiments.race_cmp import GROUND_TRUTH, run_race_cmp
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program, SourceLocation
-from repro.pebs.events import StrippedRecord
 from repro.sim.locks import (
     emit_barrier_wait,
     emit_lock_release,
     emit_naive_lock_acquire,
 )
-from repro.sim.vmmap import (
-    APP_CODE_BASE,
-    GLOBALS_BASE,
-    HEAP_BASE,
-    default_memory_map,
-)
+from repro.sim.vmmap import HEAP_BASE
 from repro.static import racecheck
 from repro.static.__main__ import main as static_main
 from repro.static.absint import analyze_thread_values, thread_entry_registers
@@ -269,8 +262,6 @@ class TestClassification:
         assert not cert.unsafe
         for line in (DATA // 64, DATA // 64 + 1):
             assert cert.verdict_for_line(line) is LineVerdict.THREAD_LOCAL
-        # Thread-local lines are not worth detection budget.
-        assert cert.priority_lines() == set()
 
     def test_flag_handoff_certifies_safe_no_flag_race(self):
         safe = certify_program(_handoff_program(with_flag=True))
@@ -341,7 +332,7 @@ class TestVariants:
 
 
 # ----------------------------------------------------------------------
-# Runtime wiring: quarantine gate and record prefilter
+# Runtime wiring: the quarantine gate
 # ----------------------------------------------------------------------
 
 def _run(name, **overrides):
@@ -371,63 +362,6 @@ class TestRaceGate:
         assert on.repaired == off.repaired
         assert on.report.render() == off.report.render()
         assert on.health.repairs_quarantined == 0
-
-
-@pytest.mark.static
-class TestStaticPrefilter:
-    def test_prefilter_installed_and_harmless_on_safe_workload(self):
-        off = _run("linear_regression")
-        on = _run("linear_regression", static_prefilter=True)
-        assert on.pipeline.filter.line_priorities is not None
-        assert on.cycles == off.cycles
-        assert on.report.render() == off.report.render()
-        assert (on.health.records_filtered_static
-                == on.pipeline.filter.dropped_unprioritized)
-
-    def test_prefilter_fails_open_on_clipped_certificate(self):
-        # bodytrack's certificate clips footprints (incomplete): the
-        # filter must not be installed from partial knowledge.
-        built = get_workload("bodytrack").build(heap_offset=0, seed=0)
-        assert not certify_built(built).complete
-        result = _run("bodytrack", static_prefilter=True)
-        assert result.pipeline.filter.line_priorities is None
-
-
-class TestRecordFilterPriorities:
-    def _filter(self):
-        vmmap = default_memory_map(
-            num_threads=2, app_code_end=APP_CODE_BASE + 0x2_0000)
-        return RecordFilter(vmmap, line_priorities={HEAP_BASE // 64})
-
-    def _record(self, data_addr):
-        return StrippedRecord(pc=APP_CODE_BASE + 4, data_addr=data_addr,
-                              core=0, cycle=100)
-
-    def test_priority_heap_line_admitted(self):
-        rf = self._filter()
-        assert rf.admit(self._record(HEAP_BASE + 8))
-        assert rf.dropped_unprioritized == 0
-
-    def test_unprioritized_heap_line_dropped(self):
-        rf = self._filter()
-        assert not rf.admit(self._record(HEAP_BASE + 4096))
-        assert rf.dropped_unprioritized == 1
-        assert rf.total_seen == 1
-
-    def test_unmapped_and_non_heap_addresses_pass_through(self):
-        # PEBS imprecision: garbage data addresses still carry real
-        # PCs; the certificate cannot speak about them.
-        rf = self._filter()
-        assert rf.admit(self._record(0x3333_3333_3333))
-        assert rf.admit(self._record(GLOBALS_BASE + 8))
-        assert rf.dropped_unprioritized == 0
-
-    def test_no_priorities_means_admit_everything(self):
-        vmmap = default_memory_map(
-            num_threads=2, app_code_end=APP_CODE_BASE + 0x2_0000)
-        rf = RecordFilter(vmmap)
-        assert rf.line_priorities is None
-        assert rf.admit(self._record(HEAP_BASE + 4096))
 
 
 # ----------------------------------------------------------------------
