@@ -89,10 +89,6 @@ class LineAggregator:
         self._lines: Dict[SourceLocation, LineStats] = {}
         self.unresolved_pcs = 0
         self._window_cycles_accumulated = 0
-        # SoA debug-info tables for add_record_pcs, built on first
-        # batch (the program's PC map is immutable after assembly;
-        # repair rewrites produce *new* Program objects).
-        self._pc_tables = None
 
     def add_record_pc(self, pc: int,
                       weight: int = 1) -> Optional[SourceLocation]:
@@ -107,96 +103,6 @@ class LineAggregator:
             self._lines[loc] = stats
         stats.add(pc, weight)
         return loc
-
-    # ------------------------------------------------------------------
-    # Struct-of-arrays path (engine ``numpy``)
-    # ------------------------------------------------------------------
-
-    def _debug_tables(self, np):
-        """(sorted_pcs, loc_ids, loc_list): the vectorized debug info.
-
-        ``loc_ids[i]`` is the dense id of ``sorted_pcs[i]``'s source
-        location (``-1`` for instructions without debug info); ids are
-        assigned in PC order and resolved back through ``loc_list``.
-        """
-        if self._pc_tables is None:
-            pcs = self.program.all_pcs()
-            loc_list = []
-            loc_index: Dict[SourceLocation, int] = {}
-            ids = []
-            for pc in pcs:
-                loc = self.program.location_of_pc(pc)
-                if loc is None:
-                    ids.append(-1)
-                    continue
-                lid = loc_index.get(loc)
-                if lid is None:
-                    lid = len(loc_list)
-                    loc_index[loc] = lid
-                    loc_list.append(loc)
-                ids.append(lid)
-            self._pc_tables = (
-                np.fromiter(pcs, np.uint64, count=len(pcs)),
-                np.fromiter(ids, np.int64, count=len(ids)),
-                loc_list,
-            )
-        return self._pc_tables
-
-    def add_record_pcs(self, pcs, weights, np):
-        """Vectorized :meth:`add_record_pc` over a batch's PC column.
-
-        Returns the per-record location-id array (``-1`` where the PC
-        resolved to no source line).  Per-line stats are updated in
-        first-occurrence order, so :class:`LineStats` creation — and
-        each line's per-PC dict — matches the scalar path's dict
-        insertion order exactly.
-        """
-        table_pcs, loc_ids, loc_list = self._debug_tables(np)
-        slot = np.searchsorted(table_pcs, pcs)
-        clipped = np.minimum(slot, len(table_pcs) - 1)
-        known = (slot < len(table_pcs)) & (table_pcs[clipped] == pcs)
-        rec_loc = np.where(known, loc_ids[clipped], -1)
-        resolved = rec_loc >= 0
-        self.unresolved_pcs += int((~resolved).sum())
-        if not resolved.any():
-            return rec_loc
-        rl = rec_loc[resolved]
-        rpc = pcs[resolved]
-        rw = weights[resolved]
-        # One key per (line, pc) pair: admitted PCs sit far below 2**48
-        # (the map's code regions top out under the stack), so the id
-        # packs into the upper bits without collision.
-        key = (rl.astype(np.uint64) << np.uint64(48)) | rpc
-        # Group by key with one stable sort; per-group weight sums via
-        # reduceat stay exact int64 (np.add.at is an order of magnitude
-        # slower, and bincount's float64 weights would break exactness).
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        heads = np.empty(len(skey), np.bool_)
-        heads[0] = True
-        heads[1:] = skey[1:] != skey[:-1]
-        head_idx = np.nonzero(heads)[0]
-        sums = np.add.reduceat(rw[order], head_idx)
-        # order[head] is each group's earliest original index (stable
-        # sort), so visiting groups by it replays the scalar path's
-        # first-occurrence dict insertion order exactly.
-        firsts = order[head_idx]
-        for g in np.argsort(firsts, kind="stable"):
-            k = int(skey[head_idx[g]])
-            loc = loc_list[k >> 48]
-            pc = k & 0xFFFF_FFFF_FFFF
-            stats = self._lines.get(loc)
-            if stats is None:
-                stats = LineStats(loc)
-                self._lines[loc] = stats
-            count = int(sums[g])
-            stats.record_count += count
-            stats.pcs[pc] = stats.pcs.get(pc, 0) + count
-        return rec_loc
-
-    def location_for_id(self, loc_id: int) -> SourceLocation:
-        """Resolve a dense location id from :meth:`add_record_pcs`."""
-        return self._pc_tables[2][loc_id]
 
     def roll_window(self, window_cycles: int) -> None:
         """Account a detection check; closes a peak window when enough

@@ -87,84 +87,6 @@ class CacheLineModel:
         info.fs_events += 1
         return SharingType.FALSE_SHARING
 
-    def observe_batch(self, addr, size, is_write, np):
-        """Vectorized :meth:`observe` over decoded access columns.
-
-        Returns an int8 array of sharing codes per access (0 = none,
-        1 = TS, 2 = FS) in the batch's record order.  The model's
-        previous-access chain is inherently sequential *per line*, so
-        the batch is grouped by cache line with a stable sort and each
-        access's predecessor is read from the shifted group arrays —
-        the first access of each group chains to the stored line table
-        instead.  All counters come out identical to feeding the
-        records through :meth:`observe` one at a time.
-        """
-        n = len(addr)
-        line = addr // np.uint64(CACHE_LINE_SIZE)
-        offset = addr - line * np.uint64(CACHE_LINE_SIZE)
-        span = np.minimum(size.astype(np.uint64),
-                          np.uint64(CACHE_LINE_SIZE) - offset)
-        # (~0 >> (64 - span)) is overflow-safe at span == 64, unlike
-        # (1 << span) - 1.
-        bitmap = ((~np.uint64(0)) >> (np.uint64(64) - span)) << offset
-        order = np.argsort(line, kind="stable")
-        s_line = line[order]
-        s_bitmap = bitmap[order]
-        s_write = is_write[order]
-        prev_bitmap = np.empty_like(s_bitmap)
-        prev_write = np.empty_like(s_write)
-        prev_bitmap[1:] = s_bitmap[:-1]
-        prev_write[1:] = s_write[:-1]
-        heads = np.empty(n, np.bool_)
-        heads[0] = True
-        heads[1:] = s_line[1:] != s_line[:-1]
-        head_idx = np.nonzero(heads)[0]
-        has_prev = ~heads
-        lines = self._lines
-        infos = []
-        for k in head_idx:
-            info = lines.get(int(s_line[k]))
-            infos.append(info)
-            if info is not None:
-                has_prev[k] = True
-                prev_bitmap[k] = info.bitmap
-                prev_write[k] = info.was_write
-        any_write = s_write | prev_write
-        overlap = (prev_bitmap & s_bitmap) != 0
-        ts = has_prev & any_write & overlap
-        fs = has_prev & any_write & ~overlap
-        self.ts_events += int(ts.sum())
-        self.fs_events += int(fs.sum())
-        # Per-group tallies and last-access state.
-        group = np.cumsum(heads) - 1
-        n_groups = len(head_idx)
-        ts_group = np.bincount(group[ts], minlength=n_groups)
-        fs_group = np.bincount(group[fs], minlength=n_groups)
-        group_end = np.empty(n_groups, np.int64)
-        group_end[:-1] = head_idx[1:] - 1
-        group_end[-1] = n - 1
-        # New lines must enter the table in the scalar path's order:
-        # first touch in *record* order (order[head] is the group's
-        # earliest original index, courtesy of the stable sort).
-        new_groups = [g for g in range(n_groups) if infos[g] is None]
-        new_groups.sort(key=lambda g: order[head_idx[g]])
-        for g in new_groups:
-            infos[g] = lines.setdefault(
-                int(s_line[head_idx[g]]),
-                _LineInfo(int(s_bitmap[head_idx[g]]),
-                          bool(s_write[head_idx[g]])),
-            )
-        for g in range(n_groups):
-            info = infos[g]
-            end = group_end[g]
-            info.bitmap = int(s_bitmap[end])
-            info.was_write = bool(s_write[end])
-            info.ts_events += int(ts_group[g])
-            info.fs_events += int(fs_group[g])
-        codes = np.zeros(n, np.int8)
-        codes[order] = (ts * np.int8(1)) + (fs * np.int8(2))
-        return codes
-
     def state_dict(self) -> dict:
         """JSON-serializable snapshot (checkpoint payload)."""
         return {

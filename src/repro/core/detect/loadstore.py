@@ -38,9 +38,6 @@ class LoadStoreSets:
 
     def __init__(self, ops: Dict[int, MemoryOpInfo]):
         self._ops = ops
-        # SoA tables for lookup_batch, built on first batch (the sets
-        # are a pure function of the program binary).
-        self._tables = None
 
     @classmethod
     def from_program(cls, program: Program) -> "LoadStoreSets":
@@ -55,31 +52,6 @@ class LoadStoreSets:
     def lookup(self, pc: int) -> Optional[MemoryOpInfo]:
         """Metadata for ``pc``, or None if it is not a memory op."""
         return self._ops.get(pc)
-
-    def lookup_batch(self, pcs, np):
-        """Vectorized :meth:`lookup` over a batch's PC column.
-
-        Returns ``(decoded, size, is_store)`` arrays; ``size`` and
-        ``is_store`` are meaningful only where ``decoded`` is set (a
-        PC outside the sets is a skidded or random PC).
-        """
-        if self._tables is None:
-            keys = sorted(self._ops)
-            self._tables = (
-                np.fromiter(keys, np.uint64, count=len(keys)),
-                np.fromiter((self._ops[pc].size for pc in keys),
-                            np.int64, count=len(keys)),
-                np.fromiter((self._ops[pc].is_store for pc in keys),
-                            np.bool_, count=len(keys)),
-            )
-        table_pcs, sizes, stores = self._tables
-        if len(table_pcs) == 0:
-            decoded = np.zeros(len(pcs), np.bool_)
-            return decoded, np.zeros(len(pcs), np.int64), decoded
-        slot = np.searchsorted(table_pcs, pcs)
-        clipped = np.minimum(slot, len(table_pcs) - 1)
-        decoded = (slot < len(table_pcs)) & (table_pcs[clipped] == pcs)
-        return decoded, sizes[clipped], stores[clipped]
 
     def __len__(self):
         return len(self._ops)

@@ -11,10 +11,9 @@ be cut at any time with any rate threshold — thresholds are applied at
 report time, "offline, without rerunning the program."
 """
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro._constants import DETECTOR_RECORD_COST
-from repro.accel import get_numpy, resolve_engine
 from repro.core.detect.filters import RecordFilter
 from repro.core.detect.linemap import LineAggregator
 from repro.core.detect.linemodel import CacheLineModel, SharingType
@@ -22,18 +21,10 @@ from repro.core.detect.loadstore import LoadStoreSets
 from repro.core.detect.report import ContentionReport, LineReport
 from repro.isa.program import Program, SourceLocation
 from repro.obs.trace import NULL_TRACER
-from repro.pebs.batch import RecordBatch
 from repro.pebs.events import StrippedRecord
 from repro.sim.vmmap import VirtualMemoryMap
 
 __all__ = ["DetectionPipeline", "PipelineStats"]
-
-#: Batches below this size take the scalar path even on the numpy
-#: engine: per-batch fixed costs (column builds, ~40 kernel launches)
-#: beat the scalar loop until roughly a hundred records — measured
-#: crossover ~130 on the bench workloads' record mix — and both paths
-#: land in byte-identical state, so the cutover is invisible.
-_BATCH_MIN = 128
 
 
 class PipelineStats:
@@ -63,12 +54,7 @@ class DetectionPipeline:
         sample_after_value: int,
         record_cost: int = DETECTOR_RECORD_COST,
         tracer=None,
-        engine: str = "auto",
     ):
-        #: Resolved record/detection engine (``"numpy"``/``"python"``);
-        #: picks between the struct-of-arrays batch path and the
-        #: scalar per-record loop.  Observationally invisible.
-        self.engine = resolve_engine(engine)
         self.program = program
         self.filter = RecordFilter(vmmap)
         self.aggregator = LineAggregator(program, sample_after_value)
@@ -89,19 +75,22 @@ class DetectionPipeline:
     # Ingest
     # ------------------------------------------------------------------
 
-    def process(self, records: Iterable[StrippedRecord]) -> None:
-        if (self.engine == "numpy" and hasattr(records, "__len__")
-                and len(records) >= _BATCH_MIN):
-            self._process_batch(records)
-            return
-        for record in records:
-            self._process_one(record)
+    def process(self, records: Sequence[StrippedRecord]) -> None:
+        """Push one batch through the stages, record by record, in order.
 
-    def _process_one(self, record: StrippedRecord) -> None:
-        self.stats.records_seen += 1
-        self.stats.detector_cycles += self.record_cost
-        if not self.filter.admit(record):
-            return
+        Every record is seen and costs the detector ``record_cost``;
+        only the records the filter admits reach the later stages.
+        """
+        stats = self.stats
+        stats.records_seen += len(records)
+        stats.detector_cycles += len(records) * self.record_cost
+        admit = self.filter.admit
+        for record in records:
+            if admit(record):
+                self._ingest(record)
+
+    def _ingest(self, record: StrippedRecord) -> None:
+        """The stages after the filter, for one admitted record."""
         self.stats.records_admitted += 1
 
         # Stage: aggregate by source line (addresses are NOT consulted,
@@ -129,64 +118,6 @@ class DetectionPipeline:
             counts[0] += record.weight
         else:
             counts[1] += record.weight
-
-    def _process_batch(self, records) -> None:
-        """Struct-of-arrays ingest: the scalar stages, vectorized.
-
-        Stage order and state transitions mirror :meth:`_process_one`
-        exactly — the line model's per-line access chain is resolved
-        with shifted group arrays, aggregation/scatter run as
-        ``np.add.at``-style kernels, and every dict mutation happens in
-        the scalar path's insertion order — so both paths produce
-        byte-identical pipeline state.
-        """
-        np = get_numpy()
-        batch = (records if isinstance(records, RecordBatch)
-                 else RecordBatch(list(records), "numpy"))
-        pc = batch.col("pc")
-        addr = batch.col("addr")
-        weight = batch.col("weight")
-        n = len(batch)
-        self.stats.records_seen += n
-        self.stats.detector_cycles += n * self.record_cost
-        admitted = self.filter.admit_batch(pc, addr, np)
-        n_admitted = int(admitted.sum())
-        if not n_admitted:
-            return
-        self.stats.records_admitted += n_admitted
-        apc = pc[admitted]
-        aweight = weight[admitted]
-        rec_loc = self.aggregator.add_record_pcs(apc, aweight, np)
-        decoded, size, is_store = self.load_store_sets.lookup_batch(apc, np)
-        self.stats.undecodable_pcs += int((~decoded).sum())
-        if not decoded.any():
-            return
-        sharing = self.line_model.observe_batch(
-            addr[admitted][decoded], size[decoded], is_store[decoded], np
-        )
-        self._scatter_sharing(
-            rec_loc[decoded], aweight[decoded], sharing, np
-        )
-
-    def _scatter_sharing(self, rec_loc, weight, sharing, np) -> None:
-        """Accumulate per-line TS/FS weights (the last scalar stage)."""
-        counted = (sharing > 0) & (rec_loc >= 0)
-        if not counted.any():
-            return
-        loc_ids = rec_loc[counted]
-        weights = weight[counted]
-        is_ts = sharing[counted] == 1
-        unique, first, inverse = np.unique(
-            loc_ids, return_index=True, return_inverse=True)
-        ts_sums = np.zeros(len(unique), np.int64)
-        fs_sums = np.zeros(len(unique), np.int64)
-        np.add.at(ts_sums, inverse[is_ts], weights[is_ts])
-        np.add.at(fs_sums, inverse[~is_ts], weights[~is_ts])
-        for j in np.argsort(first, kind="stable"):
-            loc = self.aggregator.location_for_id(int(unique[j]))
-            counts = self._sharing_by_line.setdefault(loc, [0, 0])
-            counts[0] += int(ts_sums[j])
-            counts[1] += int(fs_sums[j])
 
     def roll_window(self, window_cycles: int,
                     cycle: Optional[int] = None) -> None:

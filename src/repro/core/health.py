@@ -107,13 +107,13 @@ class RunHealth:
     #: them).  Neither is ever written by hand again.
     _FIELDS = tuple(field.name for field in FIELDS)
     _INFO_FIELDS = frozenset(field.name for field in FIELDS if field.info)
-    #: Which acceleration engines served the run (``repro.accel``), as
-    #: resolved strings ("numpy"/"python", "trace"/"interp").  These
-    #: are provenance, not degradation counters: they live outside the
-    #: FIELDS registry so ``as_dict``/``__eq__``/``degraded`` — and the
-    #: golden health pins built on them — are engine-invariant, exactly
-    #: like the outputs they certify.
-    _ENGINE_SLOTS = ("engine", "sim_engine")
+    #: Which simulator engine served the run (``repro.accel``), as the
+    #: resolved string "trace" or "interp".  It is provenance, not a
+    #: degradation counter: it lives outside the FIELDS registry so
+    #: ``as_dict``/``__eq__``/``degraded`` — and the golden health pins
+    #: built on them — are engine-invariant, exactly like the outputs
+    #: they certify.
+    _ENGINE_SLOTS = ("sim_engine",)
     __slots__ = _FIELDS + _ENGINE_SLOTS
 
     def __init__(self, **counts: int):

@@ -27,7 +27,7 @@ result.
 
 from typing import Optional
 
-from repro.accel import resolve_engine, resolve_sim_engine
+from repro.accel import resolve_sim_engine
 from repro.core.config import LaserConfig
 from repro.core.detect.pipeline import DetectionPipeline
 from repro.core.detect.report import ContentionReport
@@ -158,11 +158,9 @@ class Laser:
         config = self.config
         program = built.program
         injector = FaultInjector(self.faults)
-        # Acceleration engines (``repro.accel``): ``auto`` resolved once
-        # per run (the LASER_ENGINE / LASER_SIM_ENGINE variables may
-        # force one) so every component agrees, and recorded on
-        # RunHealth so the run reports which engines actually served it.
-        engine = resolve_engine("auto")
+        # Simulator engine (``repro.accel``): ``auto`` resolved once per
+        # run (``LASER_SIM_ENGINE`` may force one) and recorded on
+        # RunHealth so the run reports which engine actually served it.
         sim_engine = resolve_sim_engine("auto")
         # Observability: the tracer is shared by every instrumented
         # component; with tracing off the shared NULL_TRACER makes
@@ -198,7 +196,6 @@ class Laser:
         driver = KernelDriver(
             injector=injector, tracer=tracer,
             journal=runtime.journal if runtime is not None else None,
-            engine=engine,
         )
         pmu = PerformanceMonitoringUnit(
             imprecision,
@@ -223,12 +220,12 @@ class Laser:
             )
         pipeline = DetectionPipeline(
             program, machine.vmmap, config.sample_after_value,
-            tracer=tracer, engine=engine,
+            tracer=tracer,
         )
         ctx = RunContext(
             config=config, machine=machine, program=program,
             injector=injector, tracer=tracer, telemetry=telemetry,
-            health=RunHealth(engine=engine, sim_engine=sim_engine),
+            health=RunHealth(sim_engine=sim_engine),
             driver=driver, pmu=pmu,
             pipeline=pipeline, repairer=self.repairer, runtime=runtime,
             st=DetectorState(), certificate=certificate,

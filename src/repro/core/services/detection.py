@@ -11,11 +11,14 @@ durable, so the report is rebuilt the same way a restarted detector
 would build it — checkpoint + replay, then the final drain.
 """
 
+from operator import attrgetter
+
 from repro.core.services.base import Service
-from repro.pebs.batch import RecordBatch
 from repro.resilience.journal import RecordJournal, batch_sort_key
 
 __all__ = ["DetectionService"]
+
+_seq = attrgetter("seq")
 
 
 class DetectionService(Service):
@@ -44,20 +47,22 @@ class DetectionService(Service):
     @staticmethod
     def _emit_batch(ctx, batch) -> None:
         """Span-tracing provenance: one ``detect.batch`` per ingested
-        batch, with the journal seq range when records carry one.
+        batch, with the journal seq range when the run journals.
 
-        Gated behind ``config.trace_spans`` (off by default): any new
+        Without a journal every record keeps ``seq == 0`` ("never
+        journaled"), so the range is ``None``, not ``0..0``.  Gated
+        behind ``config.trace_spans`` (off by default): any new
         default-on emission would change the trace stream's golden
         SHA-256 pin.
         """
         if not (ctx.config.trace_spans and ctx.tracer.enabled and batch):
             return
-        seqs = [r.seq for r in batch if getattr(r, "seq", None) is not None]
-        ctx.tracer.emit(
-            "detect.batch", ctx.cycle, records=len(batch),
-            seq_lo=min(seqs) if seqs else None,
-            seq_hi=max(seqs) if seqs else None,
-        )
+        if ctx.runtime is None:
+            seq_lo = seq_hi = None
+        else:
+            seq_lo, seq_hi = min(map(_seq, batch)), max(map(_seq, batch))
+        ctx.tracer.emit("detect.batch", ctx.cycle, records=len(batch),
+                        seq_lo=seq_lo, seq_hi=seq_hi)
 
     @staticmethod
     def _process_poll(ctx, records, recovery: bool) -> None:
@@ -83,9 +88,7 @@ class DetectionService(Service):
         DetectionService._emit_batch(ctx, batch)
         pipeline.process(batch)
         if batch:
-            seq_hi = (batch.max_seq() if isinstance(batch, RecordBatch)
-                      else max(r.seq for r in batch))
-            journal.mark_batch(seq_hi, ctx.cycle)
+            journal.mark_batch(max(map(_seq, batch)), ctx.cycle)
 
     # ------------------------------------------------------------------
     # Checkpoint share: pipeline state + detector loop state
@@ -128,7 +131,7 @@ class DetectionService(Service):
                 status=runtime.supervisor["detector"].status,
             )
             self._resilience.restore_detector(ctx)
-            self._process_poll(ctx, ctx.driver.flush_all(), True)
+            self._process_poll(ctx, ctx.driver.flush_batch(), True)
         else:
             fresh, dups = RecordJournal.dedup(
                 ctx.driver.flush_batch(), runtime.journal.acked_seq

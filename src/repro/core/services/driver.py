@@ -64,7 +64,7 @@ class DriverPollService(Service):
             records = ctx.driver.flush_batch()
             if records:
                 # Detection latency: age of the batch's oldest record
-                # (flush_all returns timestamp order).  The overload
+                # (flush_batch returns timestamp order).  The overload
                 # controller reads this as its lag signal.
                 ctx.poll_lag_cycles = ctx.cycle - records[0].cycle
             if ctx.runtime is not None and injector.fires("detector.crash"):

@@ -13,10 +13,10 @@ and charges each bytecode to a row ``module:function`` of the ``repro``
 package (the module path without ``repro.``, e.g.
 ``sim.machine:_run_slice_traced``).  Code compiled by
 :mod:`repro.sim.trace` is charged to its filename, ``<trace-block>`` or
-``<trace-micro>``.  Code outside the package (the standard library,
-numpy's Python layer) is charged to its nearest ``repro`` caller, so
-every row names code of this project; bytecodes with no ``repro`` frame
-between them and the counted callable go to ``<other>``.
+``<trace-micro>``.  Code outside the package (the standard library)
+is charged to its nearest ``repro`` caller, so every row names code of
+this project; bytecodes with no ``repro`` frame between them and the
+counted callable go to ``<other>``.
 
 Counting only observes: the counted run's simulated outputs equal an
 uncounted run's.  It makes a run 15-80x slower, so count one cell or

@@ -55,15 +55,9 @@ from repro._constants import (
     PEBS_BUFFER_RECORDS,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.pebs.batch import RecordBatch
-from repro.pebs.events import PebsRecord, StrippedRecord
+from repro.pebs.events import PebsRecord, StrippedRecord, batch_sort_key
 
 __all__ = ["KernelDriver"]
-
-#: Outbox size below which the numpy merge is not worth the column
-#: build; the scalar sort wins on tiny batches and both orders are
-#: identical, so the cutover is invisible.
-_MERGE_BATCH_MIN = 32
 
 
 class KernelDriver:
@@ -73,13 +67,8 @@ class KernelDriver:
                  buffer_records: int = PEBS_BUFFER_RECORDS,
                  interrupt_cost: int = DRIVER_INTERRUPT_COST,
                  outbox_capacity: int = DRIVER_OUTBOX_CAPACITY,
-                 injector=None, tracer=None, journal=None,
-                 engine: str = "python"):
+                 injector=None, tracer=None, journal=None):
         self.num_cores = num_cores
-        #: Resolved record-plane engine (``"numpy"``/``"python"``); the
-        #: system runner passes :func:`repro.accel.resolve_engine`'s
-        #: choice, direct constructions default to the scalar plane.
-        self.engine = engine
         self.buffer_records = buffer_records
         self.interrupt_cost = interrupt_cost
         self.outbox_capacity = outbox_capacity
@@ -200,40 +189,23 @@ class KernelDriver:
         cache line model would see artificial same-address runs.
         Same-TSC records from different cores are tie-broken by
         (core, pc) so the merge order is a property of the records, not
-        of buffer-drain order.
+        of buffer-drain order (:data:`~repro.pebs.events.batch_sort_key`).
         """
-        return self._read_batch().records
-
-    def read_batch(self) -> RecordBatch:
-        """:meth:`read_records`, kept as a struct-of-arrays batch."""
-        return self._read_batch()
-
-    def _read_batch(self) -> RecordBatch:
         out = self._outbox
         self._outbox = []
-        if self.engine == "numpy" and len(out) >= _MERGE_BATCH_MIN:
-            # The merge builds the (cycle, core, pc) columns; the batch
-            # carries them forward so dedup and the pipeline gather
-            # instead of rebuilding.
-            return RecordBatch(out, self.engine).sorted_merge()
-        out.sort(key=lambda record: (record.cycle, record.core, record.pc))
-        return RecordBatch(out, self.engine)
+        out.sort(key=batch_sort_key)
+        return out
 
-    def flush_all(self) -> List[StrippedRecord]:
-        """Final drain at application exit: empty every core buffer too."""
-        return self.flush_batch().records
+    def flush_batch(self) -> List[StrippedRecord]:
+        """Full drain: empty every core buffer, then read the outbox.
 
-    def flush_batch(self) -> RecordBatch:
-        """Full drain, kept as a struct-of-arrays batch.
-
-        This is the detector poll's read: the batch flows on through
-        journal dedup and the vectorized pipeline without being torn
-        back into per-record Python objects.  perfbench's traced pass
-        sizes each poll by wrapping this method by name.
+        This is the detector poll's read and the final drain at
+        application exit.  perfbench's traced pass sizes each poll by
+        wrapping this method by name.
         """
         for core in range(self.num_cores):
             self._drain_core(core)
-        return self._read_batch()
+        return self.read_records()
 
     @property
     def pending_records(self) -> int:

@@ -22,7 +22,10 @@ estimates stay unbiased.  ``weight == 1`` always, outside controller
 throttling.
 """
 
-__all__ = ["PebsRecord", "StrippedRecord", "XSNP_HITM_EVENT"]
+from operator import attrgetter
+
+__all__ = ["PebsRecord", "StrippedRecord", "XSNP_HITM_EVENT",
+           "batch_sort_key"]
 
 #: Name of the precise load-HITM event introduced with Haswell.
 XSNP_HITM_EVENT = "MEM_LOAD_UOPS_LLC_HIT_RETIRED.XSNP_HITM"
@@ -73,3 +76,10 @@ class StrippedRecord:
         return "<Record pc=%#x addr=%#x core=%d cyc=%d>" % (
             self.pc, self.data_addr, self.core, self.cycle,
         )
+
+
+#: The detector's record order: timestamp, then core, then PC.  The
+#: driver merges its outbox by it, and recovery re-sorts each replayed
+#: batch by it, so a recovered detector processes records exactly as
+#: the live one did.
+batch_sort_key = attrgetter("cycle", "core", "pc")

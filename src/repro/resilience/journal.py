@@ -40,18 +40,14 @@ front, so the retained entries always carry the contiguous seqnos
 seqno by subtraction, with no search.
 """
 
+from operator import attrgetter
 from typing import List, Sequence, Tuple
 
-from repro.pebs.batch import RecordBatch
-from repro.pebs.events import StrippedRecord
+from repro.pebs.events import StrippedRecord, batch_sort_key
 
 __all__ = ["RecordJournal", "batch_sort_key"]
 
-#: The detector's canonical intra-batch processing order (the driver's
-#: ``read_records`` merge order); replayed batches are sorted the same
-#: way so recovery reproduces live processing exactly.
-def batch_sort_key(record: StrippedRecord) -> Tuple[int, int, int]:
-    return (record.cycle, record.core, record.pc)
+_seq = attrgetter("seq")
 
 
 class RecordJournal:
@@ -134,7 +130,7 @@ class RecordJournal:
         Returns ``(batches, tail)``: ``batches`` is a list of
         ``(entries, poll_cycle)`` pairs, one per recorded mark above
         ``seq`` (entries in seqno order, unsorted — the caller applies
-        :func:`batch_sort_key`); ``tail`` is the entries past the last
+        :data:`batch_sort_key`); ``tail`` is the entries past the last
         mark, forwarded but never acked.
         """
         suffix = self.entries_after(seq)
@@ -151,18 +147,17 @@ class RecordJournal:
         return batches, suffix[start:]
 
     @staticmethod
-    def dedup(records, acked_seq: int):
+    def dedup(records: List[StrippedRecord], acked_seq: int):
         """Split delivered records into (fresh, duplicates).
 
         A record whose ``(seq, cycle, core)`` falls at or below the
         acked watermark was already applied (via replay or a previous
-        read) — re-delivering it must be a no-op.  A
-        :class:`~repro.pebs.batch.RecordBatch` stays a batch: the split
-        runs on its seq column and the fresh records flow on in
-        struct-of-arrays form.
+        read) — re-delivering it must be a no-op.  When no record is at
+        or below the watermark, the common case, ``records`` itself is
+        returned unchanged.
         """
-        if isinstance(records, RecordBatch):
-            return records.dedup_after(acked_seq)
+        if not records or min(map(_seq, records)) > acked_seq:
+            return records, 0
         fresh = [r for r in records if r.seq > acked_seq]
         return fresh, len(records) - len(fresh)
 

@@ -7,6 +7,7 @@ thread stack.  This module provides that map for simulated processes.
 """
 
 import enum
+from bisect import bisect_right
 from typing import List, Optional
 
 __all__ = [
@@ -56,9 +57,6 @@ class Region:
         self.end = end
         self.kind = kind
 
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
     def __repr__(self):
         return "<Region %s %#x-%#x %s>" % (
             self.name,
@@ -73,6 +71,8 @@ class VirtualMemoryMap:
 
     def __init__(self, regions: Optional[List[Region]] = None):
         self._regions: List[Region] = []
+        #: ``_regions[i].start``, kept beside the regions for bisection.
+        self._starts: List[int] = []
         for region in regions or []:
             self.add_region(region)
 
@@ -82,22 +82,25 @@ class VirtualMemoryMap:
                 raise ValueError(
                     "region %r overlaps %r" % (region.name, existing.name)
                 )
-        self._regions.append(region)
-        self._regions.sort(key=lambda r: r.start)
+        index = bisect_right(self._starts, region.start)
+        self._regions.insert(index, region)
+        self._starts.insert(index, region.start)
 
     def regions(self) -> List[Region]:
         return list(self._regions)
 
     def find(self, addr: int) -> Optional[Region]:
-        """The region containing ``addr``, or None if unmapped."""
-        # Linear scan: the map holds only a handful of regions.
-        for region in self._regions:
-            if region.contains(addr):
+        """The region containing ``addr``, or None if unmapped.
+
+        The regions are sorted and disjoint, so only the last one
+        starting at or below ``addr`` can contain it.
+        """
+        index = bisect_right(self._starts, addr) - 1
+        if index >= 0:
+            region = self._regions[index]
+            if addr < region.end:
                 return region
         return None
-
-    def is_mapped(self, addr: int) -> bool:
-        return self.find(addr) is not None
 
     def classify(self, addr: int) -> Optional[RegionKind]:
         region = self.find(addr)

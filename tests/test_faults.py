@@ -209,14 +209,14 @@ class TestBoundedOutbox:
         driver.deliver([_record(0, cycle=9, pc=0x10)])
         driver.deliver([_record(1, cycle=5, pc=0x20)])
         driver.deliver([_record(1, cycle=5, pc=0x15)])
-        driver.flush_all()
+        driver.flush_batch()
         records = driver.read_records()
-        assert records == []  # flush_all already drained
+        assert records == []  # flush_batch already drained
         driver.deliver([_record(2, cycle=5, pc=0x30)])
         driver.deliver([_record(0, cycle=9, pc=0x10)])
         driver.deliver([_record(1, cycle=5, pc=0x20)])
         driver.deliver([_record(1, cycle=5, pc=0x15)])
-        records = driver.flush_all()
+        records = driver.flush_batch()
         keys = [(r.cycle, r.core, r.pc) for r in records]
         assert keys == sorted(keys)
         assert keys[0] == (5, 1, 0x15)  # same cycle: core then pc breaks tie

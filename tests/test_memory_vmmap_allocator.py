@@ -99,6 +99,45 @@ class TestVirtualMemoryMap:
         assert vmmap.is_application_or_library_code(APP_CODE_BASE + 4)
         assert not vmmap.is_application_or_library_code(KERNEL_BASE + 4)
 
+    @given(
+        st.lists(st.one_of(st.integers(0, 2**12), st.integers(0, 2**64),
+                           st.integers(2**63, 2**64)),
+                 min_size=2, max_size=24, unique=True),
+        st.lists(st.booleans(), min_size=23, max_size=23),
+        st.randoms(use_true_random=False),
+        st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_find_matches_a_linear_scan(self, points, mapped, rng, extra):
+        """Bisection finds exactly what a scan of every region finds.
+
+        Consecutive boundary points delimit either a region or a gap,
+        so maps have adjacent regions, gaps of every width and regions
+        reaching the top of the 64-bit space; regions are added in a
+        random order.
+        """
+        points.sort()
+        spans = list(zip(points, points[1:]))
+        regions = [Region("r%d" % i, start, end, RegionKind.HEAP)
+                   for i, (start, end) in enumerate(spans) if mapped[i]]
+        order = list(regions)
+        rng.shuffle(order)
+        vmmap = VirtualMemoryMap(order)
+
+        def scan(addr):
+            for region in regions:
+                if region.start <= addr < region.end:
+                    return region
+            return None
+
+        probes = {0, points[0], max(points[0] - 1, 0), 2**63, 2**64 - 1}
+        for start, end in spans:
+            probes.update((start, end - 1, end, (start + end) // 2))
+        probes.update(extra)
+        for addr in sorted(probes):
+            if addr < 2**64:
+                assert vmmap.find(addr) is scan(addr), hex(addr)
+
     def test_app_region_has_minimum_text_span(self):
         vmmap = default_memory_map(1, APP_CODE_BASE + 0x10)
         region = vmmap.find(APP_CODE_BASE)

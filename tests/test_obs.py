@@ -590,6 +590,25 @@ class TestSpanTracedRun:
         assert behind["seq_lo"] is not None
         assert behind["seq_lo"] <= behind["seq_hi"]
 
+    def test_a_run_without_a_journal_reports_no_seq_range(self):
+        """Records that were never journaled carry ``seq == 0``; their
+        batches name no seq range rather than a false ``0..0``."""
+        from repro.obs.spans import build_spans
+
+        config = LaserConfig(trace_enabled=True, trace_spans=True,
+                             resilience_enabled=False)
+        result = Laser(config).run_workload(get_workload("histogram'"),
+                                            scale=0.25)
+        batches = [e for e in result.telemetry.tracer.events()
+                   if e.name == "detect.batch"]
+        assert batches and sum(e.args["records"] for e in batches) > 0
+        for event in batches:
+            assert event.args["seq_lo"] is None, event.args
+            assert event.args["seq_hi"] is None, event.args
+        rendered = build_spans(result.telemetry.tracer.events()).render()
+        assert "batch records=" in rendered
+        assert " seq " not in rendered
+
 
 class TestGoldenPinsWithObservatoryOn:
     """The observatory must be free when off *and* invisible to the

@@ -181,7 +181,7 @@ class TestDriver:
         driver.deliver([self._record(0, 1)])
         driver.deliver([self._record(1, 2)])
         assert driver.pending_records == 2
-        assert len(driver.flush_all()) == 2
+        assert len(driver.flush_batch()) == 2
         assert driver.pending_records == 0
 
     def test_driver_cycles_accumulate(self):
@@ -346,7 +346,7 @@ def test_grouped_delivery_matches_per_record_reference(
         elif op[0] == "halt":
             driver.halted = ref.halted = op[1]
         else:
-            assert [_key(r) for r in driver.flush_all()] == ref.flush()
+            assert [_key(r) for r in driver.flush_batch()] == ref.flush()
         assert [_key(r) for r in driver._outbox] == ref.outbox
     assert costs == ref_costs
     assert driver.interrupts == ref.interrupts

@@ -267,6 +267,10 @@ class TestRecordJournal:
                 seqs[cut:], s
 
     def test_batch_sort_key_is_the_driver_merge_order(self):
+        import repro.pebs.driver as driver_module
+
+        # One definition: the driver merges its outbox by this key.
+        assert driver_module.batch_sort_key is batch_sort_key
         records = [
             StrippedRecord(pc=3, data_addr=0, core=1, cycle=20),
             StrippedRecord(pc=1, data_addr=0, core=0, cycle=20),
