@@ -25,6 +25,11 @@ machinery:
   restarts follow ``RetryPolicy``'s unjittered 1 .. 8 intervals;
 * the overload controller's ratios, knob steps and SAV cap are in
   ``repro.control.controller``.
+
+PEBS sampling and crash recovery are not knobs: every run samples
+records and journals them, checkpoints the detector and supervises the
+driver and detector (``repro.resilience``).  Recovery observes and
+never charges simulated cycles.
 """
 
 __all__ = ["LaserConfig"]
@@ -40,13 +45,11 @@ class LaserConfig:
         repair_trigger_rate: float = 4000.0,
         check_interval_cycles: int = 50_000,
         heap_shift: int = 64,
-        detection_enabled: bool = True,
         repair_enabled: bool = True,
         seed: int = 0,
         rollback_enabled: bool = True,
         trace_enabled: bool = False,
         trace_capacity: int = 65_536,
-        resilience_enabled: bool = True,
         max_component_restarts: int = 3,
         control_enabled: bool = False,
         control_budget_records: int = 128,
@@ -85,7 +88,6 @@ class LaserConfig:
         #: (lu_ncb's input buffer sizing) react to the nonzero shift —
         #: the mechanism behind lu_ncb's coincidental 30% speedup.
         self.heap_shift = heap_shift
-        self.detection_enabled = detection_enabled
         self.repair_enabled = repair_enabled
         self.seed = seed
         #: Whether the post-repair watchdog may detach a repair that
@@ -99,14 +101,10 @@ class LaserConfig:
         #: Ring-buffer bound on retained trace events; the tracer sheds
         #: oldest-first beyond this and counts ``events_dropped``.
         self.trace_capacity = trace_capacity
-        #: Crash recovery (``repro.resilience``): write-ahead record
-        #: journal, checkpoint/restore and supervised restarts.  On by
-        #: default — like tracing, resilience observes and never charges
-        #: simulated cycles, so a run with no crash faults is
-        #: bit-identical either way.
-        self.resilience_enabled = resilience_enabled
-        #: Restart budget per component before the circuit breaker
-        #: trips and the run degrades (detection-only, then passthrough).
+        #: Restart budget per component of the crash-recovery runtime
+        #: (``repro.resilience``, part of every run) before the circuit
+        #: breaker trips and the run degrades (detection-only, then
+        #: passthrough).
         self.max_component_restarts = max_component_restarts
         #: Closed-loop overload control (``repro.control``).  Off by
         #: default: a disabled controller touches no knob and a run is

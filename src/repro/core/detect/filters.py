@@ -8,7 +8,7 @@ stack are also dropped, as stacks "are unlikely to be shared between
 threads and thus unlikely to be sources of cache contention."
 """
 
-from repro.pebs.events import StrippedRecord
+from repro.pebs.events import PebsRecord
 from repro.sim.vmmap import RegionKind, VirtualMemoryMap
 
 __all__ = ["RecordFilter"]
@@ -25,7 +25,7 @@ class RecordFilter:
         self.dropped_stack_addr = 0
         self.passed = 0
 
-    def admit(self, record: StrippedRecord) -> bool:
+    def admit(self, record: PebsRecord) -> bool:
         """True if ``record`` survives all filter stages."""
         find = self.vmmap.find
         region = find(record.pc)

@@ -21,7 +21,7 @@ from repro.core.detect.loadstore import LoadStoreSets
 from repro.core.detect.report import ContentionReport, LineReport
 from repro.isa.program import Program, SourceLocation
 from repro.obs.trace import NULL_TRACER
-from repro.pebs.events import StrippedRecord
+from repro.pebs.events import PebsRecord
 from repro.sim.vmmap import VirtualMemoryMap
 
 __all__ = ["DetectionPipeline", "PipelineStats"]
@@ -75,7 +75,7 @@ class DetectionPipeline:
     # Ingest
     # ------------------------------------------------------------------
 
-    def process(self, records: Sequence[StrippedRecord]) -> None:
+    def process(self, records: Sequence[PebsRecord]) -> None:
         """Push one batch through the stages, record by record, in order.
 
         Every record is seen and costs the detector ``record_cost``;
@@ -89,7 +89,7 @@ class DetectionPipeline:
             if admit(record):
                 self._ingest(record)
 
-    def _ingest(self, record: StrippedRecord) -> None:
+    def _ingest(self, record: PebsRecord) -> None:
         """The stages after the filter, for one admitted record."""
         self.stats.records_admitted += 1
 

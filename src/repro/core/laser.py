@@ -1,14 +1,14 @@
 """The LASER system (Section 6, Figure 8).
 
-Wires together the three components: the kernel driver (PEBS buffers +
-record stripping), the userspace detector process (the Section 4
-pipeline), and the online repair mechanism (Section 5).  The detector
-"forks the application process to be analyzed" — modelled as a small
-heap-base shift in the child's layout — then configures the driver and
-consumes records while the application runs.  At every check interval
-the detector evaluates false-sharing rates and may invoke LASERREPAIR,
-which attaches to the running machine like Pin attaches to a running
-process.
+Wires together the three components: the kernel driver (per-core PEBS
+buffers and the write-ahead record journal), the userspace detector
+process (the Section 4 pipeline), and the online repair mechanism
+(Section 5).  The detector "forks the application process to be
+analyzed" — modelled as a small heap-base shift in the child's layout —
+then configures the driver and consumes records while the application
+runs.  At every check interval the detector evaluates false-sharing
+rates and may invoke LASERREPAIR, which attaches to the running machine
+like Pin attaches to a running process.
 
 The run loop itself lives in the service kernel
 (:mod:`repro.core.services`): ``run_built`` composes a
@@ -22,7 +22,9 @@ back off, unprofitable repairs detach, crashed components restart from
 checkpoint + journal, exhausted restart budgets degrade the run
 (detection-only, then passthrough) instead of aborting, and every
 degradation event is tallied in a :class:`RunHealth` record on the
-result.
+result.  Crash recovery is part of every run: the
+:class:`~repro.resilience.ResilienceRuntime` is built before the
+driver, so the journal holds every record the PMU hands over.
 """
 
 from typing import Optional
@@ -70,9 +72,9 @@ class LaserRunResult:
         driver: KernelDriver,
         pipeline: DetectionPipeline,
         machine: Machine,
+        resilience: ResilienceRuntime,
         health: Optional[RunHealth] = None,
         telemetry: Optional[RunTelemetry] = None,
-        resilience: Optional[ResilienceRuntime] = None,
     ):
         self.cycles = cycles
         self.report = report
@@ -87,8 +89,8 @@ class LaserRunResult:
         #: time series and the event tracer (NULL_TRACER unless
         #: ``config.trace_enabled``).
         self.telemetry = telemetry or RunTelemetry()
-        #: Crash-recovery bundle (``repro.resilience``), or ``None``
-        #: when ``config.resilience_enabled`` is off.
+        #: Crash-recovery bundle (``repro.resilience``): the run's
+        #: record journal, checkpoints and supervisor.
         self.resilience = resilience
 
     @property
@@ -189,19 +191,13 @@ class Laser:
         # Crash recovery: like tracing, the runtime observes and never
         # charges simulated cycles.  Built before the driver so records
         # are journaled from the very first delivery.
-        runtime = (
-            ResilienceRuntime(config, injector=injector, tracer=tracer)
-            if config.resilience_enabled else None
-        )
-        driver = KernelDriver(
-            injector=injector, tracer=tracer,
-            journal=runtime.journal if runtime is not None else None,
-        )
+        runtime = ResilienceRuntime(config, injector=injector, tracer=tracer)
+        driver = KernelDriver(runtime.journal, injector=injector,
+                              tracer=tracer)
         pmu = PerformanceMonitoringUnit(
             imprecision,
-            driver=driver,
+            driver,
             sample_after_value=config.sample_after_value,
-            pebs_enabled=config.detection_enabled,
             injector=injector,
             tracer=tracer,
         )
@@ -251,7 +247,7 @@ class Laser:
             driver=driver,
             pipeline=pipeline,
             machine=machine,
+            resilience=runtime,
             health=ctx.health,
             telemetry=telemetry,
-            resilience=runtime,
         )

@@ -3,10 +3,10 @@
 :class:`RunContext` is the single bag every service reads and writes:
 the machine and its clock, the config, the fault plan (via its
 injector), the tracer/telemetry bundle, the health tally, the wired
-components (driver, PMU, pipeline, repairer, resilience runtime) and
-the detector's loop state.  Per-interval scratch (``recovery``,
-``poll_records``, ``polled``) is reset by the scheduler at each slice
-boundary.
+components (driver, PMU, pipeline, repairer and the resilience runtime,
+which every run has) and the detector's loop state.  Per-interval
+scratch (``recovery``, ``poll_records``, ``polled``) is reset by the
+scheduler at each slice boundary.
 
 :class:`DetectorState` is the detector process's in-memory loop state —
 everything that dies with a detector crash and is rebuilt from the last
@@ -124,8 +124,8 @@ class RunContext:
         #: for this program, or ``None`` unless ``race_gate`` asked for
         #: one.
         self.certificate = certificate
-        #: Crash-recovery runtime (``repro.resilience``), or ``None``
-        #: when ``config.resilience_enabled`` is off.
+        #: Crash-recovery runtime (``repro.resilience``): journal,
+        #: checkpoints, supervisor and degrade ladder.
         self.runtime = runtime
         #: Client-to-shard record transport (``repro.fleet``), or
         #: ``None`` on every single-run path.  When attached, the
@@ -165,21 +165,9 @@ class RunContext:
         return self.machine.cycle
 
     @property
-    def detector_component(self):
-        """The supervised detector, or ``None`` without resilience."""
-        if self.runtime is None:
-            return None
-        return self.runtime.supervisor["detector"]
-
-    @property
     def detector_up(self) -> bool:
-        component = self.detector_component
-        return component is None or component.running
-
-    @property
-    def detached_buffers(self):
-        """Host-retained SSBs from detached plans (empty w/o runtime)."""
-        return self.runtime.detached_buffers if self.runtime is not None else ()
+        """Whether the supervised detector process is running."""
+        return self.runtime.supervisor["detector"].running
 
     def begin_interval(self) -> None:
         """Reset the per-interval scratch at a slice boundary."""
@@ -202,29 +190,21 @@ def ssb_abort_count(machine) -> int:
     )
 
 
-def ssb_buffers(machine, plan, extra=()) -> List:
-    """Attached + detached SSBs, deduplicated by identity.
+def ssb_buffers(ctx) -> List:
+    """The SSBs attached to the machine plus every detached one.
 
-    A detached buffer can be referenced both by the plan that owned it
-    and by the resilience runtime's durable list (which outlives
-    detector crashes); counting it twice would double its stats.
+    The watchdog's rollback is the only detach, and it records each
+    buffer it detaches in the resilience runtime's durable list, which
+    outlives detector crashes (the machine no longer holds them).
     """
-    buffers = {
-        id(core.ssb): core.ssb
-        for core in machine.cores
-        if core.ssb is not None
-    }
-    if plan is not None:
-        for ssb in plan.detached_buffers:
-            buffers[id(ssb)] = ssb
-    for ssb in extra:
-        buffers[id(ssb)] = ssb
-    return list(buffers.values())
+    attached = [core.ssb for core in ctx.machine.cores
+                if core.ssb is not None]
+    return attached + ctx.runtime.detached_buffers
 
 
-def ssb_totals(machine, plan, extra=()) -> tuple:
+def ssb_totals(ctx) -> tuple:
     """(flushes, htm_aborts) over attached *and* detached SSBs."""
-    buffers = ssb_buffers(machine, plan, extra)
+    buffers = ssb_buffers(ctx)
     return (
         sum(ssb.stats.flushes for ssb in buffers),
         sum(ssb.stats.htm_aborts for ssb in buffers),

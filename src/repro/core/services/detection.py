@@ -1,14 +1,14 @@
 """The detection pipeline's run slice, as a service.
 
 Consumes the batch the driver-poll service drained, feeds it through
-the Section 4 pipeline (with journal dedup/ack when resilience is on),
-and rolls the detection window at each successful poll.  It owns the
-pipeline's share of the checkpoint payload — the pipeline state dict
-plus the detector's loop-control state — and the final drain at
-application exit, including the offline-recovery path when the
-detector was down (or halted in passthrough) at exit: the journal is
-durable, so the report is rebuilt the same way a restarted detector
-would build it — checkpoint + replay, then the final drain.
+the Section 4 pipeline (with journal dedup and ack), and rolls the
+detection window at each successful poll.  It owns the pipeline's
+share of the checkpoint payload — the pipeline state dict plus the
+detector's loop-control state — and the final drain at application
+exit, including the offline-recovery path when the detector was down
+(or halted in passthrough) at exit: the journal is durable, so the
+report is rebuilt the same way a restarted detector would build it —
+checkpoint + replay, then the final drain.
 """
 
 from operator import attrgetter
@@ -47,31 +47,23 @@ class DetectionService(Service):
     @staticmethod
     def _emit_batch(ctx, batch) -> None:
         """Span-tracing provenance: one ``detect.batch`` per ingested
-        batch, with the journal seq range when the run journals.
+        batch, with the journal seq range of its records (every record
+        is journaled at delivery, so the range starts at 1 or above).
 
-        Without a journal every record keeps ``seq == 0`` ("never
-        journaled"), so the range is ``None``, not ``0..0``.  Gated
-        behind ``config.trace_spans`` (off by default): any new
+        Gated behind ``config.trace_spans`` (off by default): any new
         default-on emission would change the trace stream's golden
         SHA-256 pin.
         """
         if not (ctx.config.trace_spans and ctx.tracer.enabled and batch):
             return
-        if ctx.runtime is None:
-            seq_lo = seq_hi = None
-        else:
-            seq_lo, seq_hi = min(map(_seq, batch)), max(map(_seq, batch))
         ctx.tracer.emit("detect.batch", ctx.cycle, records=len(batch),
-                        seq_lo=seq_lo, seq_hi=seq_hi)
+                        seq_lo=min(map(_seq, batch)),
+                        seq_hi=max(map(_seq, batch)))
 
     @staticmethod
     def _process_poll(ctx, records, recovery: bool) -> None:
-        """Process one poll's batch, with journal dedup/ack when enabled."""
+        """Process one poll's batch, with journal dedup and ack."""
         runtime, pipeline = ctx.runtime, ctx.pipeline
-        if runtime is None:
-            DetectionService._emit_batch(ctx, records)
-            pipeline.process(records)
-            return
         journal = runtime.journal
         if recovery:
             # The journal is authoritative after a crash: the unacked
@@ -115,11 +107,6 @@ class DetectionService(Service):
 
     def on_exit(self, ctx) -> None:
         runtime = ctx.runtime
-        if runtime is None:
-            final = ctx.driver.flush_batch()
-            self._emit_batch(ctx, final)
-            ctx.pipeline.process(final)
-            return
         if ctx.was_down:
             # Offline recovery: the detector was down (or halted in
             # passthrough) when the application exited.  The journal

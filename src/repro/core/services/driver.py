@@ -39,7 +39,7 @@ class DriverPollService(Service):
         if not ctx.detector_up:
             return
         health, st, injector = ctx.health, ctx.st, ctx.injector
-        if ctx.runtime is not None and injector.fires("detector.crash"):
+        if injector.fires("detector.crash"):
             # Pre-poll crash: the detector dies before its read; the
             # whole batch waits in the journal for the restart.
             self._resilience.detector_crashed(ctx)
@@ -67,7 +67,7 @@ class DriverPollService(Service):
                 # (flush_batch returns timestamp order).  The overload
                 # controller reads this as its lag signal.
                 ctx.poll_lag_cycles = ctx.cycle - records[0].cycle
-            if ctx.runtime is not None and injector.fires("detector.crash"):
+            if injector.fires("detector.crash"):
                 # Post-read, pre-ack crash: the read batch is discarded
                 # unacknowledged; it stays below no mark, so replay
                 # recovers it and the driver's re-delivery is

@@ -11,10 +11,10 @@ post-repair HITM rate shows the repair stopped paying off (or the SSB
 is thrashing the HTM), the watchdog detaches the instrumentation,
 restoring the original program.
 
-Attachment is durable state.  When resilience is on, every attach and
-detach is recorded with the runtime (the authority a restore
-reconciles against) and checkpointed immediately, so no restore from a
-stale generation can double-attach or resurrect a rolled-back repair.
+Attachment is durable state.  Every attach and detach is recorded with
+the resilience runtime (the authority a restore reconciles against)
+and checkpointed immediately, so no restore from a stale generation
+can double-attach or resurrect a rolled-back repair.
 """
 
 from typing import Optional, Set
@@ -57,14 +57,14 @@ class RepairService(Service):
 
     def on_check_interval(self, ctx) -> None:
         config, st, health = ctx.config, ctx.st, ctx.health
-        if not (config.repair_enabled and config.detection_enabled):
+        if not config.repair_enabled:
             return
         if st.repaired:
             self._watchdog(ctx)
             return
         if st.rolled_back:
             return  # one rollback ends repair attempts for the run
-        if ctx.runtime is not None and not ctx.runtime.repair_allowed:
+        if not ctx.runtime.repair_allowed:
             return  # degraded to detection-only: no new instrumentation
         if st.backoff_remaining > 0:
             st.backoff_remaining -= 1
@@ -110,12 +110,11 @@ class RepairService(Service):
         st.mark_cycle = ctx.cycle
         st.mark_hitm = pmu.total_hitm_count
         st.mark_aborts = ssb_abort_count(ctx.machine)
-        if ctx.runtime is not None:
-            # Attachment is durable state: record the serialized plan
-            # and checkpoint immediately, so a restore from any
-            # retained generation reconciles correctly.
-            ctx.runtime.note_attached(plan.attached_state())
-            self._resilience.save_checkpoint(ctx)
+        # Attachment is durable state: record the serialized plan and
+        # checkpoint immediately, so a restore from any retained
+        # generation reconciles correctly.
+        ctx.runtime.note_attached(plan.attached_state())
+        self._resilience.save_checkpoint(ctx)
 
     def _watchdog(self, ctx) -> None:
         """Judge the attached repair every ``WATCHDOG_WINDOWS`` windows."""
@@ -146,12 +145,11 @@ class RepairService(Service):
             ctx.health.rollbacks += 1
             st.repaired = False
             st.rolled_back = True
-            if ctx.runtime is not None:
-                # Detachment is durable state: record it (and the
-                # host-side SSB stats) and checkpoint immediately so
-                # no restore resurrects the attachment.
-                ctx.runtime.note_detached(st.plan.detached_buffers)
-                self._resilience.save_checkpoint(ctx)
+            # Detachment is durable state: record it (and the host-side
+            # SSB stats) and checkpoint immediately so no restore
+            # resurrects the attachment.
+            ctx.runtime.note_detached(st.plan.detached_buffers)
+            self._resilience.save_checkpoint(ctx)
         else:
             st.mark_cycle = ctx.cycle
             st.mark_hitm = pmu.total_hitm_count
@@ -251,7 +249,5 @@ class RepairService(Service):
         health.htm_aborts = machine.htm.aborts
         health.injected_htm_aborts = ctx.injector.fired["htm.abort"]
         health.ssb_fallback_activations = sum(
-            ssb.stats.fallback_activations
-            for ssb in ssb_buffers(machine, ctx.st.plan,
-                                   ctx.detached_buffers)
+            ssb.stats.fallback_activations for ssb in ssb_buffers(ctx)
         )

@@ -8,8 +8,9 @@ attach-time checkpoint keeps its historical order), computes the
 exit-time ``was_down`` verdict, and rebuilds a restarted detector —
 checkpoint fan-out, attachment reconciliation, journal replay.
 
-Every hook is a no-op when the run has no resilience runtime
-(``config.resilience_enabled`` off).
+Every run has the runtime.  On a run with no crash fault the service
+only beats the heartbeats and saves a checkpoint per check interval;
+neither charges simulated cycles.
 """
 
 from repro.core.services.base import Service
@@ -35,10 +36,7 @@ class ResilienceService(Service):
         batch from the journal because the driver's volatile buffers no
         longer hold the full picture.
         """
-        runtime = ctx.runtime
-        if runtime is None:
-            return
-        supervisor = runtime.supervisor
+        supervisor = ctx.runtime.supervisor
         interval, cycle = ctx.interval, ctx.cycle
         recovery = False
         component = supervisor["driver"]
@@ -100,8 +98,7 @@ class ResilienceService(Service):
     # ------------------------------------------------------------------
 
     def on_check_interval(self, ctx) -> None:
-        if ctx.runtime is not None:
-            self.save_checkpoint(ctx)
+        self.save_checkpoint(ctx)
 
     def save_checkpoint(self, ctx) -> None:
         """Assemble per-service contributions, save, compact the WAL."""
@@ -156,16 +153,10 @@ class ResilienceService(Service):
 
     def on_exit(self, ctx) -> None:
         """Record whether the detector was down when the app exited."""
-        ctx.was_down = (
-            ctx.runtime is not None
-            and not ctx.runtime.supervisor["detector"].running
-        )
+        ctx.was_down = not ctx.runtime.supervisor["detector"].running
 
     def health(self, ctx) -> None:
-        runtime = ctx.runtime
-        if runtime is None:
-            return
-        health = ctx.health
+        runtime, health = ctx.runtime, ctx.health
         supervisor = runtime.supervisor
         health.detector_crashes = supervisor["detector"].crashes
         health.detector_crash_restarts = supervisor["detector"].restarts

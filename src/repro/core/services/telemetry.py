@@ -45,7 +45,6 @@ class TelemetryService(Service):
             ctx,
             stalled=st.stalled or not ctx.detector_up,
             repair_state=st.repair_state,
-            extra_buffers=ctx.detached_buffers,
         )
 
     def on_exit(self, ctx) -> None:
@@ -57,7 +56,6 @@ class TelemetryService(Service):
                 ctx,
                 stalled=st.stalled or ctx.was_down,
                 repair_state=st.repair_state,
-                extra_buffers=ctx.detached_buffers,
             )
 
     def health(self, ctx) -> None:
@@ -68,14 +66,14 @@ class TelemetryService(Service):
         """
         ctx.health.trace_events_dropped = ctx.tracer.events_dropped
 
-    def _record_window(self, ctx, stalled: bool, repair_state: str,
-                       extra_buffers=()) -> None:
+    def _record_window(self, ctx, stalled: bool,
+                       repair_state: str) -> None:
         """Close one telemetry window: deltas since the marker."""
         marker = self._marker
         telemetry, machine = ctx.telemetry, ctx.machine
         pipeline, driver = ctx.pipeline, ctx.driver
         end = machine.cycle
-        flushes, aborts = ssb_totals(machine, ctx.st.plan, extra_buffers)
+        flushes, aborts = ssb_totals(ctx)
         totals = {
             "hitm": ctx.pmu.total_hitm_count,
             "seen": pipeline.stats.records_seen,

@@ -7,14 +7,13 @@ HITM records that Section 3.1 characterizes, without which LASERDETECT's
 filtering pipeline would have nothing to do.
 """
 
-from repro.pebs.events import PebsRecord, StrippedRecord
+from repro.pebs.events import PebsRecord
 from repro.pebs.imprecision import ImprecisionModel, ImprecisionParams
 from repro.pebs.pmu import PerformanceMonitoringUnit
 from repro.pebs.driver import KernelDriver
 
 __all__ = [
     "PebsRecord",
-    "StrippedRecord",
     "ImprecisionModel",
     "ImprecisionParams",
     "PerformanceMonitoringUnit",

@@ -17,23 +17,26 @@ outbox is full the driver drops the freshly drained records and counts
 them in ``records_dropped`` — the detector observes the loss through
 the count, never through a crash.
 
-Each admitted record is stripped exactly once, at ``deliver`` time: the
-one :class:`StrippedRecord` is what the journal keeps, what the per-core
-buffer holds and what a drain moves into the outbox.  Sharing it is
-safe because nothing downstream of the driver mutates a stripped record
-(``pebs.record_corrupt`` edits the raw record before delivery).  The PMU
-hands over the records of one event at a time — the SAV-th sample, or
-all of one ``load.burst`` fire's records — so the driver and the
-journal are crossed once per PMU event, not once per record.
+The PMU builds each record with only those fields (plus the TSC, the
+journal seqno and the sample weight), so the driver strips nothing: the
+one :class:`~repro.pebs.events.PebsRecord` the PMU hands over is what
+the journal keeps, what the per-core buffer holds and what a drain
+moves into the outbox.  Sharing it is safe because nothing downstream
+of the driver mutates a record (``pebs.record_corrupt`` edits it before
+delivery).  The PMU hands over the records of one event at a time — the
+SAV-th sample, or all of one ``load.burst`` fire's records — so the
+driver and the journal are crossed once per PMU event, not once per
+record.
 
-Crash recoverability (``repro.resilience``): when the driver is given a
-:class:`~repro.resilience.journal.RecordJournal`, every admitted record
-is journaled — stamped with a sequence number — at ``deliver`` time,
-the moment the PMU hands it over.  The per-core buffers and the outbox
-are *volatile*: ``crash_reset`` wipes them (a driver crash loses
-exactly that state), and the journal is what heals the wipe.  A driver
-whose restart budget is exhausted is ``halted`` and drops deliveries
-with accounting instead of crashing the run.
+Crash recoverability (``repro.resilience``): every admitted record is
+journaled in the driver's
+:class:`~repro.resilience.journal.RecordJournal` — stamped with a
+sequence number — at ``deliver`` time, the moment the PMU hands it
+over.  The per-core buffers and the outbox are *volatile*:
+``crash_reset`` wipes them (a driver crash loses exactly that state),
+and the journal is what heals the wipe.  A driver whose restart budget
+is exhausted is ``halted`` and drops deliveries with accounting instead
+of crashing the run.
 
 Admission control (``repro.control``): the overload controller may set
 a per-interval record budget via :meth:`set_admission`.  A record
@@ -55,7 +58,7 @@ from repro._constants import (
     PEBS_BUFFER_RECORDS,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.pebs.events import PebsRecord, StrippedRecord, batch_sort_key
+from repro.pebs.events import PebsRecord, batch_sort_key
 
 __all__ = ["KernelDriver"]
 
@@ -63,11 +66,11 @@ __all__ = ["KernelDriver"]
 class KernelDriver:
     """Per-core PEBS buffers draining into a bounded detector queue."""
 
-    def __init__(self, num_cores: int = NUM_CORES,
+    def __init__(self, journal, num_cores: int = NUM_CORES,
                  buffer_records: int = PEBS_BUFFER_RECORDS,
                  interrupt_cost: int = DRIVER_INTERRUPT_COST,
                  outbox_capacity: int = DRIVER_OUTBOX_CAPACITY,
-                 injector=None, tracer=None, journal=None):
+                 injector=None, tracer=None):
         self.num_cores = num_cores
         self.buffer_records = buffer_records
         self.interrupt_cost = interrupt_cost
@@ -78,9 +81,8 @@ class KernelDriver:
         #: Event tracer (``repro.obs.trace``); emits ``driver.drain``
         #: per buffer drain and ``driver.outbox_drop`` on overflow.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional write-ahead :class:`RecordJournal`; when present,
-        #: every delivered record is journaled before it touches any
-        #: volatile buffer.
+        #: The write-ahead :class:`RecordJournal`: every delivered
+        #: record is journaled before it touches any volatile buffer.
         self.journal = journal
         #: Set by the supervisor when the driver's restart budget is
         #: exhausted: a halted driver drops deliveries with accounting.
@@ -89,9 +91,9 @@ class KernelDriver:
         #: ``None`` = unlimited (the controller-off fast path).
         self.admission_budget = None
         self._admitted_in_interval = 0
-        self._core_buffers: List[List[StrippedRecord]] = [
+        self._core_buffers: List[List[PebsRecord]] = [
             [] for _ in range(num_cores)]
-        self._outbox: List[StrippedRecord] = []
+        self._outbox: List[PebsRecord] = []
         self.interrupts = 0
         self.driver_cycles = 0
         self.records_forwarded = 0
@@ -109,10 +111,9 @@ class KernelDriver:
         one core: the SAV-th sample, or one ``load.burst`` fire's batch.
         Each record gets exactly the outcome it would get delivered on
         its own: dropped while halted, shed once the admission budget
-        runs out, otherwise stripped, journaled, buffered — with a
-        buffer-full interrupt (and drain) at every ``buffer_records``
-        boundary.  The return value sums the interrupts the group
-        raised.
+        runs out, otherwise journaled and buffered — with a buffer-full
+        interrupt (and drain) at every ``buffer_records`` boundary.  The
+        return value sums the interrupts the group raised.
         """
         if self.halted:
             self.records_dropped += len(records)
@@ -128,22 +129,19 @@ class KernelDriver:
                 if not records:
                     return 0
             self._admitted_in_interval += len(records)
-        stripped = [StrippedRecord(r.pc, r.data_addr, r.core, r.cycle,
-                                   0, r.weight) for r in records]
-        if self.journal is not None:
-            # Write-ahead: durable before volatile.  The journal stamps
-            # the seqnos on the very objects buffered below.
-            self.journal.append(stripped)
-        core = stripped[0].core
+        # Write-ahead: durable before volatile.  The journal stamps the
+        # seqnos on the very objects buffered below.
+        self.journal.append(records)
+        core = records[0].core
         buffer = self._core_buffers[core]
         cost = start = 0
-        while start < len(stripped):
+        while start < len(records):
             # The record that fills the buffer raises the interrupt.
             end = start + max(self.buffer_records - len(buffer), 1)
-            if end > len(stripped):
-                buffer.extend(stripped[start:])
+            if end > len(records):
+                buffer.extend(records[start:])
                 break
-            buffer.extend(stripped[start:end])
+            buffer.extend(records[start:end])
             self._drain_core(core)
             self.interrupts += 1
             self.driver_cycles += self.interrupt_cost
@@ -180,7 +178,7 @@ class KernelDriver:
     # Detector-facing side (the kernel file-like device)
     # ------------------------------------------------------------------
 
-    def read_records(self) -> List[StrippedRecord]:
+    def read_records(self) -> List[PebsRecord]:
         """Drain the outbox (the detector's read() on the device).
 
         Records are merged across cores in timestamp order (Haswell PEBS
@@ -196,7 +194,7 @@ class KernelDriver:
         out.sort(key=batch_sort_key)
         return out
 
-    def flush_batch(self) -> List[StrippedRecord]:
+    def flush_batch(self) -> List[PebsRecord]:
         """Full drain: empty every core buffer, then read the outbox.
 
         This is the detector poll's read and the final drain at
@@ -237,9 +235,8 @@ class KernelDriver:
         """A driver crash: every volatile buffer is wiped.
 
         Returns the number of records lost from volatile state.  They
-        are *not* counted in ``records_dropped`` — when a journal is
-        attached each of them was journaled at delivery, so replay
-        recovers them; without a journal the caller owns the accounting.
+        are *not* counted in ``records_dropped``: each of them was
+        journaled at delivery, so replay recovers them.
         """
         wiped = len(self._outbox)
         self._outbox = []

@@ -1,15 +1,16 @@
 """Performance monitoring unit: HITM counting + PEBS sampling.
 
 The PMU is installed as the machine's ``on_hitm`` hook.  It counts HITM
-events per core (the pre-Haswell capability) and, when PEBS is enabled,
-materializes a record for every SAV-th event per core — setting the
-Sample-After Value to ``n`` means "every nth event is sampled"
-(Section 3).  Record materialization is a microcode assist charged to
-the triggering core; that cost is the hook's return value and becomes
-application slowdown.
+events per core (the pre-Haswell capability) and materializes a PEBS
+record for every SAV-th event per core — setting the Sample-After Value
+to ``n`` means "every nth event is sampled" (Section 3).  Record
+materialization is a microcode assist charged to the triggering core;
+that cost is the hook's return value and becomes application slowdown.
 
-Records pass through the imprecision model before landing in the
-driver's per-core buffers.
+Records pass through the imprecision model and are handed to the
+driver as the :class:`~repro.pebs.events.PebsRecord` objects the
+detector will read: the PMU builds each record once, with only the
+fields the driver forwards.
 
 Two knobs here belong to the overload controller (:mod:`repro.control`):
 ``sample_after_value`` may be raised mid-run to throttle record flow at
@@ -57,11 +58,10 @@ class PerformanceMonitoringUnit:
     def __init__(
         self,
         imprecision: ImprecisionModel,
-        driver=None,
+        driver,
         sample_after_value: int = 19,
         num_cores: int = NUM_CORES,
         record_cost: int = PEBS_RECORD_COST,
-        pebs_enabled: bool = True,
         injector=None,
         tracer=None,
     ):
@@ -76,7 +76,6 @@ class PerformanceMonitoringUnit:
         self.sample_weight = 1
         self.num_cores = num_cores
         self.record_cost = record_cost
-        self.pebs_enabled = pebs_enabled
         #: Optional :class:`repro.faults.FaultInjector`; hosts the
         #: ``pebs.record_drop``, ``pebs.record_corrupt`` and
         #: ``load.burst`` sites.
@@ -99,8 +98,6 @@ class PerformanceMonitoringUnit:
                 cycle: int) -> int:
         """Machine ``on_hitm`` hook; returns stall cycles for the core."""
         self.hitm_counts[core] += 1
-        if not self.pebs_enabled:
-            return 0
         extra = 0
         if self.hitm_counts[core] % self.sample_after_value == 0:
             extra = self._sample(core, inst, addr, is_write, cycle)
@@ -119,7 +116,6 @@ class PerformanceMonitoringUnit:
             data_addr=recorded_addr,
             core=core,
             cycle=cycle,
-            store_triggered=is_write,
             weight=self.sample_weight,
         )
         self.records_generated += 1
@@ -138,9 +134,7 @@ class PerformanceMonitoringUnit:
                 rng = self.injector.rng("pebs.record_corrupt")
                 record.pc = rng.getrandbits(40)
                 record.data_addr = rng.getrandbits(40)
-        if self.driver is not None:
-            extra += self.driver.deliver((record,))
-        return extra
+        return extra + self.driver.deliver((record,))
 
     def _burst_storm(self, core: int, cycle: int) -> int:
         """One ``load.burst`` fire: a batch of phantom counter events.
@@ -158,12 +152,10 @@ class PerformanceMonitoringUnit:
         rng = self.injector.rng("load.burst")
         getrandbits = rng.getrandbits
         records = [PebsRecord(_BURST_PC_BASE | getrandbits(32),
-                              getrandbits(40), core, cycle, False)
+                              getrandbits(40), core, cycle)
                    for _ in range(sampled)]
         self.records_generated += sampled
         self.burst_records += sampled
-        if self.driver is None:
-            return 0
         return self.driver.deliver(records)
 
     @property

@@ -8,9 +8,9 @@ does not mean losing the run.  This package makes the pipeline
 crash-recoverable:
 
 * :mod:`repro.resilience.journal` — a write-ahead journal of
-  sequence-numbered stripped PEBS records, appended at the driver
-  boundary, with acked-seqno batch marks so a restarted detector
-  replays exactly the unprocessed suffix;
+  sequence-numbered PEBS records, appended at the driver boundary, with
+  acked-seqno batch marks so a restarted detector replays exactly the
+  unprocessed suffix;
 * :mod:`repro.resilience.checkpoint` — schema-versioned, CRC-guarded
   snapshots of detector and repair-manager state, with corrupt-snapshot
   detection falling back to the previous generation;
@@ -23,9 +23,11 @@ crash-recoverable:
 * :mod:`repro.resilience.runtime` — the per-run bundle wiring the four
   into ``Laser.run_built``.
 
+Every run carries the runtime: ``Laser.run_built`` builds it before
+the driver, so the journal holds every record from the first delivery.
 Like tracing, resilience observes and records but never charges
-simulated cycles: a run with no crash faults is bit-identical (cycles,
-report, RNG consumption) to one with ``resilience_enabled=False``.
+simulated cycles: on a run with no crash fault it only journals, beats
+heartbeats and saves checkpoints.
 """
 
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore, Snapshot

@@ -1,14 +1,14 @@
 """The write-ahead record journal.
 
-Every stripped PEBS record is appended here *at the driver boundary* —
-the moment the driver accepts it from the PMU — and stamped with a
+Every PEBS record is appended here *at the driver boundary* — the
+moment the driver accepts it from the PMU — and stamped with a
 monotonically increasing sequence number.  The driver appends once per
 PMU event (one group of records, stamped with consecutive seqnos), and
-each entry is the same object the driver buffers and forwards.  The
-journal is the durable side of the pipeline (the model of a WAL file
-the kernel driver keeps next to its device node); the per-core buffers
-and the detector-facing outbox are volatile.  Everything downstream
-can therefore be reconstructed:
+each entry is the same object the PMU built and the driver buffers and
+forwards.  The journal is the durable side of the pipeline (the model
+of a WAL file the kernel driver keeps next to its device node); the
+per-core buffers and the detector-facing outbox are volatile.
+Everything downstream can therefore be reconstructed:
 
 * a restarted *detector* restores its last checkpoint (acked seqno
   ``A``) and replays the suffix ``seq > A``;
@@ -43,7 +43,7 @@ seqno by subtraction, with no search.
 from operator import attrgetter
 from typing import List, Sequence, Tuple
 
-from repro.pebs.events import StrippedRecord, batch_sort_key
+from repro.pebs.events import PebsRecord, batch_sort_key
 
 __all__ = ["RecordJournal", "batch_sort_key"]
 
@@ -51,13 +51,13 @@ _seq = attrgetter("seq")
 
 
 class RecordJournal:
-    """Sequence-numbered WAL of stripped records with acked-batch marks."""
+    """Sequence-numbered WAL of PEBS records with acked-batch marks."""
 
     def __init__(self, max_entries: int = 1 << 20):
         if max_entries < 1:
             raise ValueError("journal capacity must be >= 1")
         self.max_entries = max_entries
-        self._entries: List[StrippedRecord] = []
+        self._entries: List[PebsRecord] = []
         #: Acked batch boundaries: (last seqno of the batch, poll cycle),
         #: ascending in seq.
         self._marks: List[Tuple[int, int]] = []
@@ -73,8 +73,8 @@ class RecordJournal:
     # Write side (the driver)
     # ------------------------------------------------------------------
 
-    def append(self, records: Sequence[StrippedRecord]) -> int:
-        """Journal one event's stripped records; returns the last seqno.
+    def append(self, records: Sequence[PebsRecord]) -> int:
+        """Journal one event's records; returns the last seqno.
 
         Stamps the records with consecutive seqnos in order.
         """
@@ -120,7 +120,7 @@ class RecordJournal:
         first = self._next_seq - len(self._entries)
         return min(max(seq - first + 1, 0), len(self._entries))
 
-    def entries_after(self, seq: int) -> List[StrippedRecord]:
+    def entries_after(self, seq: int) -> List[PebsRecord]:
         """All retained entries with seqno strictly above ``seq``."""
         return self._entries[self._count_through(seq):]
 
@@ -134,7 +134,7 @@ class RecordJournal:
         mark, forwarded but never acked.
         """
         suffix = self.entries_after(seq)
-        batches: List[Tuple[List[StrippedRecord], int]] = []
+        batches: List[Tuple[List[PebsRecord], int]] = []
         start = 0
         for mark_seq, mark_cycle in self._marks:
             if mark_seq <= seq:
@@ -147,7 +147,7 @@ class RecordJournal:
         return batches, suffix[start:]
 
     @staticmethod
-    def dedup(records: List[StrippedRecord], acked_seq: int):
+    def dedup(records: List[PebsRecord], acked_seq: int):
         """Split delivered records into (fresh, duplicates).
 
         A record whose ``(seq, cycle, core)`` falls at or below the

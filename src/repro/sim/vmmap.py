@@ -67,7 +67,7 @@ class Region:
 
 
 class VirtualMemoryMap:
-    """An ordered collection of regions with classification queries."""
+    """An ordered collection of disjoint regions, searched by address."""
 
     def __init__(self, regions: Optional[List[Region]] = None):
         self._regions: List[Region] = []
@@ -101,18 +101,6 @@ class VirtualMemoryMap:
             if addr < region.end:
                 return region
         return None
-
-    def classify(self, addr: int) -> Optional[RegionKind]:
-        region = self.find(addr)
-        return region.kind if region else None
-
-    def is_application_or_library_code(self, pc: int) -> bool:
-        """True if ``pc`` lies in the app binary or a loaded library."""
-        kind = self.classify(pc)
-        return kind in (RegionKind.APP_CODE, RegionKind.LIB_CODE)
-
-    def is_stack_address(self, addr: int) -> bool:
-        return self.classify(addr) is RegionKind.STACK
 
     def stack_region_of_thread(self, thread_id: int) -> Optional[Region]:
         name = "stack:%d" % thread_id

@@ -38,6 +38,7 @@ from repro.experiments.frontier import run_frontier_sweep
 from repro.faults import FaultPlan
 from repro.pebs.driver import KernelDriver
 from repro.pebs.events import PebsRecord
+from repro.resilience.journal import RecordJournal
 from repro.workloads import get_workload
 
 pytestmark = pytest.mark.control
@@ -194,12 +195,12 @@ class TestControlLaw:
 
 def _record(i):
     return PebsRecord(pc=0x400000 + i, data_addr=0x1000 + i, core=0,
-                      cycle=i, store_triggered=False)
+                      cycle=i)
 
 
 class TestAdmissionControl:
     def test_budget_sheds_excess_deliveries(self):
-        driver = KernelDriver()
+        driver = KernelDriver(RecordJournal())
         driver.set_admission(3)
         for i in range(5):
             driver.deliver([_record(i)])
@@ -207,7 +208,7 @@ class TestAdmissionControl:
         assert driver.pending_records == 3
 
     def test_rearm_resets_the_interval_meter(self):
-        driver = KernelDriver()
+        driver = KernelDriver(RecordJournal())
         driver.set_admission(2)
         for i in range(4):
             driver.deliver([_record(i)])
@@ -217,7 +218,7 @@ class TestAdmissionControl:
         assert driver.records_shed == 2  # new interval, fresh meter
 
     def test_zero_budget_parks_and_none_lifts(self):
-        driver = KernelDriver()
+        driver = KernelDriver(RecordJournal())
         driver.set_admission(0)
         driver.deliver([_record(0)])
         assert driver.records_shed == 1 and driver.pending_records == 0
@@ -227,15 +228,8 @@ class TestAdmissionControl:
         assert driver.records_shed == 1 and driver.pending_records == 10
 
     def test_shed_records_never_reach_the_journal(self):
-        class CountingJournal:
-            appended = 0
-
-            def append(self, records):
-                self.appended += len(records)
-                return self.appended
-
-        journal = CountingJournal()
-        driver = KernelDriver(journal=journal)
+        journal = RecordJournal()
+        driver = KernelDriver(journal)
         driver.set_admission(1)
         for i in range(4):
             driver.deliver([_record(i)])
@@ -243,7 +237,7 @@ class TestAdmissionControl:
         assert journal.appended == 1
 
     def test_budget_validation(self):
-        driver = KernelDriver()
+        driver = KernelDriver(RecordJournal())
         with pytest.raises(ValueError):
             driver.set_admission(-1)
 

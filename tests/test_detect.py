@@ -15,7 +15,7 @@ from repro.core.detect.report import (
     classify_counts,
 )
 from repro.isa.program import SourceLocation
-from repro.pebs.events import StrippedRecord
+from repro.pebs.events import PebsRecord
 from repro.sim.vmmap import APP_CODE_BASE, KERNEL_BASE, STACK_TOP, default_memory_map
 
 from helpers import make_counter_program
@@ -34,28 +34,28 @@ class TestRecordFilter:
 
     def test_app_pc_with_heap_address_passes(self):
         f = self._filter()
-        assert f.admit(StrippedRecord(APP_CODE_BASE + 8, 0x10000000, 0, 5))
+        assert f.admit(PebsRecord(APP_CODE_BASE + 8, 0x10000000, 0, 5))
         assert f.passed == 1
 
     def test_spurious_kernel_pc_dropped(self):
         f = self._filter()
-        assert not f.admit(StrippedRecord(KERNEL_BASE + 8, 0x10000000, 0, 5))
+        assert not f.admit(PebsRecord(KERNEL_BASE + 8, 0x10000000, 0, 5))
         assert f.dropped_bad_pc == 1
 
     def test_unmapped_pc_dropped(self):
         f = self._filter()
-        assert not f.admit(StrippedRecord(0x123, 0x10000000, 0, 5))
+        assert not f.admit(PebsRecord(0x123, 0x10000000, 0, 5))
 
     def test_stack_data_address_dropped(self):
         f = self._filter()
-        record = StrippedRecord(APP_CODE_BASE + 8, STACK_TOP - 128, 0, 5)
+        record = PebsRecord(APP_CODE_BASE + 8, STACK_TOP - 128, 0, 5)
         assert not f.admit(record)
         assert f.dropped_stack_addr == 1
 
     def test_unmapped_data_address_passes(self):
         """Figure 4 drops only stack data addresses, nothing else."""
         f = self._filter()
-        assert f.admit(StrippedRecord(APP_CODE_BASE + 8, 0x5000_00000000, 0, 5))
+        assert f.admit(PebsRecord(APP_CODE_BASE + 8, 0x5000_00000000, 0, 5))
 
 
 class TestLoadStoreSets:
@@ -235,7 +235,7 @@ class TestPipeline:
         pc = [p for p in program.pcs_for_location(loc)
               if pipeline.load_store_sets.lookup(p)][0]
         records = [
-            StrippedRecord(pc, 0x10000040 + 8 * (i % 4), i % 4, i * 100)
+            PebsRecord(pc, 0x10000040 + 8 * (i % 4), i % 4, i * 100)
             for i in range(10)
         ]
         pipeline.process(records)
@@ -250,7 +250,7 @@ class TestPipeline:
         pipeline = make_pipeline(program)
         alu_pc = [inst.pc for inst in program.all_instructions()
                   if not inst.is_memory_op][0]
-        pipeline.process([StrippedRecord(alu_pc, 0x10000040, 0, 1)])
+        pipeline.process([PebsRecord(alu_pc, 0x10000040, 0, 1)])
         assert pipeline.stats.undecodable_pcs == 1
         assert pipeline.line_model.tracked_lines == 0
 
@@ -268,7 +268,7 @@ class TestPipeline:
         loc = SourceLocation("counter.c", 14)
         pc = pipeline.contending_pcs_for_line(loc)[0]
         pipeline.process(
-            [StrippedRecord(pc, 0x10000040, 0, i) for i in range(8)]
+            [PebsRecord(pc, 0x10000040, 0, i) for i in range(8)]
         )
         loose = pipeline.report(1_000_000, 1.0)
         strict = pipeline.report(1_000_000, 1e9)

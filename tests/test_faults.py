@@ -38,6 +38,7 @@ from repro.faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
 from repro.isa.instructions import Opcode
 from repro.pebs.driver import KernelDriver
 from repro.pebs.events import PebsRecord
+from repro.resilience.journal import RecordJournal
 from repro.sim.core import CoreState
 from repro.sim.machine import Machine
 from repro.workloads.registry import get_workload
@@ -176,14 +177,13 @@ class TestFaultInjector:
 # ----------------------------------------------------------------------
 
 def _record(core, cycle, pc=0x1000, addr=0x2000):
-    return PebsRecord(pc=pc, data_addr=addr, core=core, cycle=cycle,
-                      store_triggered=False)
+    return PebsRecord(pc=pc, data_addr=addr, core=core, cycle=cycle)
 
 
 class TestBoundedOutbox:
     def test_overflow_drops_with_accounting(self):
-        driver = KernelDriver(num_cores=1, buffer_records=4,
-                              outbox_capacity=6)
+        driver = KernelDriver(RecordJournal(), num_cores=1,
+                              buffer_records=4, outbox_capacity=6)
         for i in range(12):  # three full-buffer drains of 4 records
             driver.deliver([_record(0, cycle=i)])
         assert driver.records_forwarded == 6
@@ -195,7 +195,8 @@ class TestBoundedOutbox:
 
     def test_injected_overflow_drops_one_drain(self):
         plan = FaultPlan().add("driver.outbox_overflow", at=[1])
-        driver = KernelDriver(num_cores=1, buffer_records=4,
+        driver = KernelDriver(RecordJournal(), num_cores=1,
+                              buffer_records=4,
                               injector=FaultInjector(plan))
         for i in range(8):
             driver.deliver([_record(0, cycle=i)])
@@ -204,7 +205,8 @@ class TestBoundedOutbox:
         assert driver.records_dropped == 4
 
     def test_read_records_merges_by_cycle_core_pc(self):
-        driver = KernelDriver(num_cores=3, buffer_records=64)
+        driver = KernelDriver(RecordJournal(), num_cores=3,
+                              buffer_records=64)
         driver.deliver([_record(2, cycle=5, pc=0x30)])
         driver.deliver([_record(0, cycle=9, pc=0x10)])
         driver.deliver([_record(1, cycle=5, pc=0x20)])

@@ -25,9 +25,9 @@ class TestConfig:
         custom = LaserConfig(
             sample_after_value=7, rate_threshold=10.0,
             repair_trigger_rate=20.0, check_interval_cycles=1_000,
-            heap_shift=0, detection_enabled=False, repair_enabled=False,
+            heap_shift=0, repair_enabled=False,
             seed=5, rollback_enabled=False, trace_enabled=True,
-            trace_capacity=16, resilience_enabled=False,
+            trace_capacity=16,
             max_component_restarts=1, control_enabled=True,
             control_budget_records=8, control_escalate_after=4,
             control_recover_after=5, control_passthrough_after=9,
@@ -150,12 +150,6 @@ class TestSystemAccounting:
         assert result.application_cpu_cycles > 0
         # Both components are tiny relative to the app (Figure 12).
         assert result.detector_cycles < 0.05 * result.application_cpu_cycles
-
-    def test_detection_disabled_means_no_records(self):
-        config = LaserConfig(detection_enabled=False, repair_enabled=False)
-        result = run_laser_on(get_workload("histogram'"), config=config)
-        assert result.pipeline.stats.records_seen == 0
-        assert not result.repaired
 
     def test_repair_disabled_still_detects(self):
         config = LaserConfig(repair_enabled=False)

@@ -9,8 +9,10 @@ from repro.sim.allocator import CHUNK_HEADER_SIZE, Allocator
 from repro.sim.memory import PAGE_SIZE, Memory
 from repro.sim.vmmap import (
     APP_CODE_BASE,
+    GLOBALS_BASE,
     HEAP_BASE,
     KERNEL_BASE,
+    LIB_CODE_BASE,
     Region,
     RegionKind,
     STACK_TOP,
@@ -82,22 +84,24 @@ class TestVirtualMemoryMap:
 
     def test_default_map_classifies_code_and_data(self):
         vmmap = default_memory_map(2, APP_CODE_BASE + 0x100)
-        assert vmmap.classify(APP_CODE_BASE) is RegionKind.APP_CODE
-        assert vmmap.classify(HEAP_BASE + 8) is RegionKind.HEAP
-        assert vmmap.classify(KERNEL_BASE + 8) is RegionKind.KERNEL
-        assert vmmap.classify(0x123) is None
+        assert vmmap.find(APP_CODE_BASE).kind is RegionKind.APP_CODE
+        assert vmmap.find(GLOBALS_BASE + 8).kind is RegionKind.GLOBALS
+        assert vmmap.find(HEAP_BASE + 8).kind is RegionKind.HEAP
+        assert vmmap.find(KERNEL_BASE + 8).kind is RegionKind.KERNEL
+        assert vmmap.find(0x123) is None
 
     def test_default_map_has_one_stack_per_thread(self):
         vmmap = default_memory_map(3, APP_CODE_BASE + 0x100)
         for tid in range(3):
             region = vmmap.stack_region_of_thread(tid)
             assert region is not None
-            assert vmmap.is_stack_address(region.start + 64)
+            assert vmmap.find(region.start + 64).kind is RegionKind.STACK
 
     def test_app_and_lib_code_pass_pc_filter(self):
         vmmap = default_memory_map(1, APP_CODE_BASE + 0x100)
-        assert vmmap.is_application_or_library_code(APP_CODE_BASE + 4)
-        assert not vmmap.is_application_or_library_code(KERNEL_BASE + 4)
+        assert vmmap.find(APP_CODE_BASE + 4).kind is RegionKind.APP_CODE
+        assert vmmap.find(LIB_CODE_BASE + 4).kind is RegionKind.LIB_CODE
+        assert vmmap.find(KERNEL_BASE + 4).kind is RegionKind.KERNEL
 
     @given(
         st.lists(st.one_of(st.integers(0, 2**12), st.integers(0, 2**64),

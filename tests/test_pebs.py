@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultPlan
 from repro.isa.program import PC_STRIDE
 from repro.pebs.driver import KernelDriver
-from repro.pebs.events import PebsRecord, StrippedRecord
+from repro.pebs.events import PebsRecord
 from repro.pebs.imprecision import ImprecisionModel, ImprecisionParams
 from repro.pebs.pmu import (
     BURST_EVENTS_PER_FIRE,
@@ -111,7 +111,7 @@ class TestImprecision:
 
 class TestPmu:
     def test_sav_samples_every_nth_event_per_core(self):
-        driver = KernelDriver()
+        driver = KernelDriver(RecordJournal())
         pmu = PerformanceMonitoringUnit(make_model(), driver,
                                         sample_after_value=5)
         inst = _FakeInst(APP_CODE_BASE + 40)
@@ -121,7 +121,8 @@ class TestPmu:
         assert pmu.records_generated == 4  # events 5, 10, 15, 20
 
     def test_sav_counters_are_per_core(self):
-        pmu = PerformanceMonitoringUnit(make_model(), KernelDriver(),
+        pmu = PerformanceMonitoringUnit(make_model(),
+                                        KernelDriver(RecordJournal()),
                                         sample_after_value=10)
         inst = _FakeInst(APP_CODE_BASE + 40)
         for core in range(4):
@@ -130,17 +131,9 @@ class TestPmu:
         assert pmu.records_generated == 0
         assert pmu.total_hitm_count == 36
 
-    def test_disabled_pebs_counts_but_never_records(self):
-        pmu = PerformanceMonitoringUnit(make_model(), KernelDriver(),
-                                        sample_after_value=1,
-                                        pebs_enabled=False)
-        inst = _FakeInst(APP_CODE_BASE + 40)
-        assert pmu.on_hitm(0, inst, 0x10000040, False, 0) == 0
-        assert pmu.total_hitm_count == 1
-        assert pmu.records_generated == 0
-
     def test_record_cost_charged_on_sampled_events_only(self):
-        pmu = PerformanceMonitoringUnit(make_model(), KernelDriver(),
+        pmu = PerformanceMonitoringUnit(make_model(),
+                                        KernelDriver(RecordJournal()),
                                         sample_after_value=2, record_cost=123)
         inst = _FakeInst(APP_CODE_BASE + 40)
         assert pmu.on_hitm(0, inst, 0x10000040, False, 0) == 0
@@ -149,25 +142,27 @@ class TestPmu:
 
 class TestDriver:
     def _record(self, core, cycle):
-        return PebsRecord(APP_CODE_BASE + 4, 0x10000040, core, cycle, False)
+        return PebsRecord(APP_CODE_BASE + 4, 0x10000040, core, cycle)
 
     def test_buffer_full_interrupt(self):
-        driver = KernelDriver(buffer_records=4, interrupt_cost=999)
+        driver = KernelDriver(RecordJournal(), buffer_records=4,
+                              interrupt_cost=999)
         costs = [driver.deliver([self._record(0, i)]) for i in range(4)]
         assert costs == [0, 0, 0, 999]
         assert driver.interrupts == 1
         assert len(driver.read_records()) == 4
 
     def test_records_stripped_to_pc_addr_core(self):
-        driver = KernelDriver(buffer_records=1)
-        driver.deliver([self._record(2, 77)])
+        driver = KernelDriver(RecordJournal(), buffer_records=1)
+        record = self._record(2, 77)
+        driver.deliver([record])
         [rec] = driver.read_records()
-        assert isinstance(rec, StrippedRecord)
+        assert rec is record and rec.seq == 1
         assert rec.core == 2 and rec.cycle == 77
 
     def test_timestamp_merge_across_cores(self):
         """Records from different core buffers come out in TSC order."""
-        driver = KernelDriver(buffer_records=3)
+        driver = KernelDriver(RecordJournal(), buffer_records=3)
         for i in range(3):
             driver.deliver([self._record(0, 10 + i)])
         for i in range(3):
@@ -177,7 +172,7 @@ class TestDriver:
         assert cycles == sorted(cycles)
 
     def test_flush_all_drains_partial_buffers(self):
-        driver = KernelDriver(buffer_records=64)
+        driver = KernelDriver(RecordJournal(), buffer_records=64)
         driver.deliver([self._record(0, 1)])
         driver.deliver([self._record(1, 2)])
         assert driver.pending_records == 2
@@ -185,7 +180,8 @@ class TestDriver:
         assert driver.pending_records == 0
 
     def test_driver_cycles_accumulate(self):
-        driver = KernelDriver(buffer_records=2, interrupt_cost=100)
+        driver = KernelDriver(RecordJournal(), buffer_records=2,
+                              interrupt_cost=100)
         for i in range(6):
             driver.deliver([self._record(0, i)])
         assert driver.driver_cycles == 300
@@ -206,13 +202,12 @@ class _PerRecordDriver:
     """
 
     def __init__(self, num_cores, buffer_records, interrupt_cost,
-                 outbox_capacity, injector, journaled, max_entries):
+                 outbox_capacity, injector, max_entries):
         self.buffers = [[] for _ in range(num_cores)]
         self.buffer_records = buffer_records
         self.interrupt_cost = interrupt_cost
         self.outbox_capacity = outbox_capacity
         self.injector = injector
-        self.journaled = journaled
         self.max_entries = max_entries
         self.journal = []
         self.next_seq = 1
@@ -232,11 +227,9 @@ class _PerRecordDriver:
                 self.shed += 1
                 return 0
             self.admitted += 1
-        seq = 0
-        if self.journaled:
-            seq = self.next_seq
-            self.next_seq += 1
-            self.journal = (self.journal + [seq])[-self.max_entries:]
+        seq = self.next_seq
+        self.next_seq += 1
+        self.journal = (self.journal + [seq])[-self.max_entries:]
         buffer = self.buffers[record.core]
         buffer.append((seq, record.pc, record.core, record.cycle))
         if len(buffer) < self.buffer_records:
@@ -319,16 +312,17 @@ _OPS = st.lists(st.one_of(
 def test_grouped_delivery_matches_per_record_reference(
         num_cores, buffer_records, outbox_capacity, overflow, max_entries,
         ops):
-    journal = (RecordJournal(max_entries=max_entries)
-               if max_entries is not None else None)
-    driver = KernelDriver(num_cores=num_cores, buffer_records=buffer_records,
-                          interrupt_cost=7, outbox_capacity=outbox_capacity,
-                          injector=_injector(overflow), journal=journal)
+    journal = (RecordJournal() if max_entries is None
+               else RecordJournal(max_entries=max_entries))
+    driver = KernelDriver(journal, num_cores=num_cores,
+                          buffer_records=buffer_records, interrupt_cost=7,
+                          outbox_capacity=outbox_capacity,
+                          injector=_injector(overflow))
     ref = _PerRecordDriver(num_cores, buffer_records, 7, outbox_capacity,
-                           _injector(overflow), journal is not None,
-                           max_entries)
+                           _injector(overflow), journal.max_entries)
     cycle = 0
     costs, ref_costs = [], []
+    delivered = []  # keeps every delivered object alive, so ids stay unique
     for op in ops:
         if op[0] == "deliver":
             _, core, n = op
@@ -337,7 +331,8 @@ def test_grouped_delivery_matches_per_record_reference(
             for _ in range(n):
                 cycle += 1
                 group.append(PebsRecord(_BURST_PC_BASE | cycle, 0x2000,
-                                        core, cycle, False))
+                                        core, cycle))
+            delivered.extend(group)
             costs.append(driver.deliver(group))
             ref_costs.append(sum(ref.deliver_one(r) for r in group))
         elif op[0] == "budget":
@@ -359,14 +354,17 @@ def test_grouped_delivery_matches_per_record_reference(
     if overflow is not None:
         assert (driver.injector.occurrences["driver.outbox_overflow"]
                 == ref.injector.occurrences["driver.outbox_overflow"])
-    if journal is not None:
-        entries = journal.entries_after(0)
-        assert [r.seq for r in entries] == ref.journal
-        assert journal.head_seq == ref.next_seq - 1
-        # Strip once: the outbox forwards the journal's own objects.
-        retained = {id(r) for r in entries}
-        assert all(id(r) in retained for r in driver._outbox
-                   if r.seq >= ref.journal[0])
+    entries = journal.entries_after(0)
+    assert [r.seq for r in entries] == ref.journal
+    assert journal.head_seq == ref.next_seq - 1
+    # Built once: the journal and the outbox hold the very objects the
+    # caller delivered, and the outbox forwards the journal's own.
+    caller_ids = {id(r) for r in delivered}
+    assert all(id(r) in caller_ids for r in entries)
+    assert all(id(r) in caller_ids for r in driver._outbox)
+    retained = {id(r) for r in entries}
+    assert all(id(r) in retained for r in driver._outbox
+               if r.seq >= ref.journal[0])
 
 
 # ----------------------------------------------------------------------

@@ -114,7 +114,7 @@ class _FakeMachine:
 
 
 def _fake_context(config=None, slices=2):
-    config = config or LaserConfig(resilience_enabled=False)
+    config = config or LaserConfig()
     ctx = RunContext(
         config=config,
         machine=_FakeMachine(slices),
