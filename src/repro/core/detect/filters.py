@@ -17,28 +17,16 @@ _CODE_KINDS = (RegionKind.APP_CODE, RegionKind.LIB_CODE)
 
 
 class RecordFilter:
-    """Memory-map based record filtering."""
+    """Memory-map based record filtering (a pure function of the map)."""
 
     def __init__(self, vmmap: VirtualMemoryMap):
         self.vmmap = vmmap
-        self.dropped_bad_pc = 0
-        self.dropped_stack_addr = 0
-        self.passed = 0
 
     def admit(self, record: PebsRecord) -> bool:
         """True if ``record`` survives all filter stages."""
         find = self.vmmap.find
         region = find(record.pc)
         if region is None or region.kind not in _CODE_KINDS:
-            self.dropped_bad_pc += 1
             return False
         region = find(record.data_addr)
-        if region is not None and region.kind is RegionKind.STACK:
-            self.dropped_stack_addr += 1
-            return False
-        self.passed += 1
-        return True
-
-    @property
-    def total_seen(self) -> int:
-        return self.passed + self.dropped_bad_pc + self.dropped_stack_addr
+        return region is None or region.kind is not RegionKind.STACK

@@ -162,8 +162,5 @@ class LineAggregator:
         hot.sort(key=lambda s: -s.record_count)
         return hot
 
-    def all_lines(self) -> List[LineStats]:
-        return sorted(self._lines.values(), key=lambda s: -s.record_count)
-
     def stats_for(self, loc: SourceLocation) -> Optional[LineStats]:
         return self._lines.get(loc)

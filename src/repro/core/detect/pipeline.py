@@ -210,13 +210,6 @@ class DetectionPipeline:
 
     def report(self, duration_cycles: int, rate_threshold: float) -> ContentionReport:
         """Cut a report at the given threshold (applied offline)."""
-        from repro._constants import CYCLES_PER_SECOND
-
-        scale = (
-            self.sample_after_value * CYCLES_PER_SECOND / duration_cycles
-            if duration_cycles > 0
-            else 0.0
-        )
         lines = []
         traced = self.tracer.enabled
         for stats in self.aggregator.lines_above_threshold(
@@ -241,8 +234,6 @@ class DetectionPipeline:
                     ),
                     ts_events=ts,
                     fs_events=fs,
-                    fs_event_rate=fs * scale,
-                    ts_event_rate=ts * scale,
                 )
             )
         return ContentionReport(

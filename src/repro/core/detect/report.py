@@ -65,23 +65,15 @@ class LineReport:
     """One reported source line."""
 
     __slots__ = ("location", "record_count", "hitm_rate", "ts_events",
-                 "fs_events", "fs_event_rate", "ts_event_rate",
-                 "contention_class")
+                 "fs_events", "contention_class")
 
     def __init__(self, location: SourceLocation, record_count: int,
-                 hitm_rate: float, ts_events: int, fs_events: int,
-                 fs_event_rate: float = 0.0, ts_event_rate: float = 0.0):
+                 hitm_rate: float, ts_events: int, fs_events: int):
         self.location = location
         self.record_count = record_count
         self.hitm_rate = hitm_rate
         self.ts_events = ts_events
         self.fs_events = fs_events
-        #: Estimated FS/TS sharing events per simulated second; the
-        #: repair trigger (Section 4.4) keys off the FS event rate, not
-        #: the (confidence-gated) verdict, which is how a bug whose type
-        #: is reported "unknown" can still be repaired automatically.
-        self.fs_event_rate = fs_event_rate
-        self.ts_event_rate = ts_event_rate
         self.contention_class = classify_counts(ts_events, fs_events,
                                                 record_count)
 
@@ -150,15 +142,6 @@ class ContentionReport:
         if total_fs < MIN_REPAIR_FS_EVIDENCE or 1.5 * total_fs < total_ts:
             return []
         return candidates
-
-    def dominant_class(self) -> ContentionClass:
-        """Aggregate verdict over the hottest reported lines."""
-        if not self.lines:
-            return ContentionClass.UNKNOWN
-        ts = sum(line.ts_events for line in self.lines)
-        fs = sum(line.fs_events for line in self.lines)
-        records = sum(line.record_count for line in self.lines)
-        return classify_counts(ts, fs, records)
 
     def render(self) -> str:
         """Human-readable report, the tool's console output."""

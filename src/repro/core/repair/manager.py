@@ -112,8 +112,6 @@ class LaserRepair:
     def __init__(self, min_stores_per_flush: float = 4.0):
         #: Repair profitability floor (Section 5.4).
         self.min_stores_per_flush = min_stores_per_flush
-        self.plans_built = 0
-        self.plans_applied = 0
         self.plans_rejected = 0
         self.plans_verifier_rejected = 0
         self.plans_detached = 0
@@ -131,7 +129,6 @@ class LaserRepair:
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         plan = RepairPlan(program, set(contending_pcs))
-        self.plans_built += 1
         if tracer.enabled:
             tracer.emit("repair.plan", cycle,
                         contending_pcs=sorted(contending_pcs))
@@ -201,7 +198,6 @@ class LaserRepair:
             ssb = SoftwareStoreBuffer(machine, tid)
             core.ssb = ssb
             buffers.append(ssb)
-        self.plans_applied += 1
         if machine.tracer.enabled:
             machine.tracer.emit(
                 "repair.attach", machine.cycle,

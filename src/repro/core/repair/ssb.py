@@ -42,19 +42,15 @@ __all__ = ["SoftwareStoreBuffer", "SsbStats"]
 class SsbStats:
     """Counters for one thread's SSB."""
 
-    __slots__ = ("puts", "full_hits", "partial_hits", "misses", "flushes",
-                 "flushed_entries", "htm_aborts", "misspeculations",
-                 "fallback_activations", "fallback_stores")
+    __slots__ = ("full_hits", "partial_hits", "misses", "flushes",
+                 "htm_aborts", "fallback_activations", "fallback_stores")
 
     def __init__(self):
-        self.puts = 0
         self.full_hits = 0
         self.partial_hits = 0
         self.misses = 0
         self.flushes = 0
-        self.flushed_entries = 0
         self.htm_aborts = 0
-        self.misspeculations = 0
         self.fallback_activations = 0
         self.fallback_stores = 0
 
@@ -88,7 +84,6 @@ class SoftwareStoreBuffer:
             data[byte_addr] = (value >> (8 * i)) & 0xFF
             self._lines.add(byte_addr // CACHE_LINE_SIZE)
         self._fifo.append((addr, value, size))
-        self.stats.puts += 1
 
     def empty(self) -> bool:
         return not self._bytes
@@ -210,7 +205,6 @@ class SoftwareStoreBuffer:
                         latency += self._write_entries(core_id, remaining)
                     break
         self.stats.flushes += 1
-        self.stats.flushed_entries += len(writes)
         self._clear()
         return latency
 
@@ -228,7 +222,6 @@ class SoftwareStoreBuffer:
         latency = self.machine.latency.ssb_flush_base
         latency += self._write_entries(core_id, self._fifo)
         self.stats.flushes += 1
-        self.stats.flushed_entries += len(self._fifo)
         self._clear()
         return latency
 
@@ -249,7 +242,3 @@ class SoftwareStoreBuffer:
         self._bytes.clear()
         self._lines.clear()
         self._fifo.clear()
-
-    def note_misspeculation(self) -> None:
-        """Record that a speculative alias check failed (Section 5.3)."""
-        self.stats.misspeculations += 1

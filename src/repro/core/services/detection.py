@@ -71,8 +71,12 @@ class DetectionService(Service):
             # volatile buffers, so the driver's own delivery is counted
             # as duplicate and the difference as replayed.
             tail = journal.entries_after(journal.acked_seq)
+            replayed = len(tail) - len(records)
             runtime.count_deduped(len(records))
-            runtime.count_replayed(len(tail) - len(records))
+            runtime.count_replayed(replayed)
+            if replayed and ctx.tracer.enabled:
+                ctx.tracer.emit("resil.replay", ctx.cycle,
+                                from_seq=journal.acked_seq, records=replayed)
             batch = sorted(tail, key=batch_sort_key)
         else:
             batch, dups = RecordJournal.dedup(records, journal.acked_seq)

@@ -24,7 +24,6 @@ from repro.core.repair.manager import RepairPlan
 from repro.core.services.base import Service
 from repro.core.services.context import ssb_abort_count, ssb_buffers
 from repro.errors import RepairError
-from repro.obs.trace import NULL_TRACER
 from repro.static.race import LineVerdict
 
 __all__ = ["RepairService"]
@@ -178,7 +177,7 @@ class RepairService(Service):
             )
         if not contending_pcs:
             return None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.emit(
                 "repair.trigger", ctx.cycle,
                 lines=[str(line.location) for line in fs_lines],
@@ -186,7 +185,7 @@ class RepairService(Service):
             )
         return self._repairer.plan(
             ctx.program, contending_pcs,
-            tracer=tracer if tracer is not None else NULL_TRACER,
+            tracer=tracer,
             cycle=ctx.cycle,
         )
 
@@ -212,7 +211,7 @@ class RepairService(Service):
             return fs_lines
         ctx.health.repairs_quarantined += len(quarantined)
         tracer = ctx.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.emit(
                 "repair.quarantine", ctx.cycle,
                 lines=[str(line.location) for line in quarantined],

@@ -9,8 +9,8 @@ exit-time ``was_down`` verdict, and rebuilds a restarted detector —
 checkpoint fan-out, attachment reconciliation, journal replay.
 
 Every run has the runtime.  On a run with no crash fault the service
-only beats the heartbeats and saves a checkpoint per check interval;
-neither charges simulated cycles.
+only saves a checkpoint per check interval, which charges no simulated
+cycles.
 """
 
 from repro.core.services.base import Service
@@ -39,8 +39,7 @@ class ResilienceService(Service):
         supervisor = ctx.runtime.supervisor
         interval, cycle = ctx.interval, ctx.cycle
         recovery = False
-        component = supervisor["driver"]
-        if component.running:
+        if supervisor["driver"].running:
             if ctx.injector.fires("driver.crash"):
                 ctx.driver.crash_reset()
                 if supervisor.crash("driver", interval, cycle):
@@ -54,12 +53,7 @@ class ResilienceService(Service):
                     recovery = True  # rearmed immediately; heal from WAL
                 else:
                     ctx.driver.halted = True
-            else:
-                supervisor.beat("driver", interval)
-        component = supervisor["detector"]
-        if component.running:
-            supervisor.beat("detector", interval)
-        elif supervisor.due("detector", interval):
+        if supervisor.due("detector", interval):
             supervisor.restart("detector", interval, cycle)
             self.restore_detector(ctx)
             recovery = True

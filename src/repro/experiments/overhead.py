@@ -62,9 +62,6 @@ class OverheadResult:
     def worst_laser(self) -> OverheadRow:
         return max(self.rows, key=lambda r: r.laser_norm)
 
-    def worst_vtune(self) -> OverheadRow:
-        return max(self.rows, key=lambda r: r.vtune_norm)
-
     def render(self) -> str:
         headers = ["benchmark", "LASER", "VTune", "repaired"]
         body = [

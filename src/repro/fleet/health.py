@@ -58,9 +58,6 @@ class FleetHealth:
     def states(self) -> Dict[str, str]:
         return {outcome.tenant: outcome.state for outcome in self.outcomes}
 
-    def by_state(self, state: str) -> List:
-        return [o for o in self.outcomes if o.state == state]
-
     @property
     def evicted(self) -> List[str]:
         return [o.tenant for o in self.outcomes

@@ -145,12 +145,6 @@ class Program:
         threads[thread_index] = code
         return Program(self.name, threads, code_base=self.code_base)
 
-    def replace_threads(self, new_threads: List[ThreadCode]) -> "Program":
-        """Return a new Program with all thread code replaced."""
-        if len(new_threads) != len(self.threads):
-            raise AssemblyError("thread count mismatch in %s" % self.name)
-        return Program(self.name, new_threads, code_base=self.code_base)
-
     @property
     def num_threads(self) -> int:
         return len(self.threads)

@@ -37,7 +37,8 @@ _LIFECYCLE_PREFIXES = (
 def _breakdown(result: LaserRunResult) -> str:
     """Per-component cycle shares (the per-run Figure 12)."""
     app = max(1, result.application_cpu_cycles)
-    pmu_stalls = result.machine.injected_stall_cycles
+    pmu_stalls = sum(core.stats.pmu_stall_cycles
+                     for core in result.machine.cores)
     rows = [
         ("application busy", app - pmu_stalls),
         ("PMU assist stalls", pmu_stalls),

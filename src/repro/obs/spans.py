@@ -76,10 +76,8 @@ class Span:
                 self.cycle, args.get("records_seen", "?"),
                 args.get("records_admitted", "?"))
         if self.name == "detect.batch":
-            seq_lo, seq_hi = args.get("seq_lo"), args.get("seq_hi")
-            seq = (" seq %s..%s" % (seq_lo, seq_hi)
-                   if seq_lo is not None else "")
-            return "batch records=%s%s" % (args.get("records", "?"), seq)
+            return "batch records=%s seq %s..%s" % (
+                args.get("records", "?"), args["seq_lo"], args["seq_hi"])
         if self.name == "driver.drain":
             return "drain core=%s drained=%s dropped=%s" % (
                 args.get("core", "?"), args.get("drained", "?"),

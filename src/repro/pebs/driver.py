@@ -79,7 +79,8 @@ class KernelDriver:
         #: ``driver.outbox_overflow`` site.
         self.injector = injector
         #: Event tracer (``repro.obs.trace``); emits ``driver.drain``
-        #: per buffer drain and ``driver.outbox_drop`` on overflow.
+        #: per buffer drain, ``driver.outbox_drop`` on overflow and
+        #: ``driver.halted_drop`` per delivery a halted driver drops.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The write-ahead :class:`RecordJournal`: every delivered
         #: record is journaled before it touches any volatile buffer.
@@ -117,6 +118,9 @@ class KernelDriver:
         """
         if self.halted:
             self.records_dropped += len(records)
+            if self.tracer.enabled:
+                self.tracer.emit("driver.halted_drop", records[0].cycle,
+                                 core=records[0].core, dropped=len(records))
             return 0
         if self.admission_budget is not None:
             # Admission control: shed *before* the journal write, so a

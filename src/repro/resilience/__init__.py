@@ -17,7 +17,7 @@ crash-recoverable:
 * :mod:`repro.resilience.policy` — the one shared exponential-backoff
   implementation (seeded jitter, attempt budget) used by both the
   repair re-evaluation backoff and supervisor restarts;
-* :mod:`repro.resilience.supervisor` — heartbeat tracking, restart
+* :mod:`repro.resilience.supervisor` — crash tracking, restart
   scheduling and the max-restart circuit breaker that degrades the
   system (detection-only, then passthrough) instead of aborting it;
 * :mod:`repro.resilience.runtime` — the per-run bundle wiring the four
@@ -26,8 +26,8 @@ crash-recoverable:
 Every run carries the runtime: ``Laser.run_built`` builds it before
 the driver, so the journal holds every record from the first delivery.
 Like tracing, resilience observes and records but never charges
-simulated cycles: on a run with no crash fault it only journals, beats
-heartbeats and saves checkpoints.
+simulated cycles: on a run with no crash fault it only journals and
+saves checkpoints.
 """
 
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore, Snapshot

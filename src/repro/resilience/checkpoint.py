@@ -44,15 +44,14 @@ def encode_state(state: dict) -> bytes:
 class Snapshot:
     """One retained checkpoint generation."""
 
-    __slots__ = ("generation", "cycle", "payload", "crc", "schema", "ints")
+    __slots__ = ("generation", "cycle", "payload", "crc", "ints")
 
     def __init__(self, generation: int, cycle: int, payload: bytes,
-                 crc: int, schema: int, ints: Dict[str, int]):
+                 crc: int, ints: Dict[str, int]):
         self.generation = generation
         self.cycle = cycle
         self.payload = payload
         self.crc = crc
-        self.schema = schema
         #: The saved state's top-level integers (``acked_seq`` among
         #: them), kept beside the payload for compaction bookkeeping.
         self.ints = ints
@@ -95,7 +94,6 @@ class CheckpointStore:
             cycle=cycle,
             payload=payload,
             crc=zlib.crc32(payload) & 0xFFFFFFFF,
-            schema=CHECKPOINT_SCHEMA,
             ints={k: v for k, v in state.items() if type(v) is int},
         )
         self._next_generation += 1

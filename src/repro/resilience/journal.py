@@ -62,7 +62,6 @@ class RecordJournal:
         #: ascending in seq.
         self._marks: List[Tuple[int, int]] = []
         self._next_seq = 1
-        self.appended = 0
         self.truncated = 0
         #: Entries shed by the capacity bound (oldest first).  A shed
         #: entry below the acked watermark costs nothing; above it, the
@@ -85,7 +84,6 @@ class RecordJournal:
         self._next_seq = seq
         entries = self._entries
         entries.extend(records)
-        self.appended += len(records)
         excess = len(entries) - self.max_entries
         if excess > 0:
             del entries[:excess]

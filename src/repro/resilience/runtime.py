@@ -87,10 +87,6 @@ class ResilienceRuntime:
     def repair_allowed(self) -> bool:
         return self.mode == DegradeMode.NORMAL
 
-    @property
-    def monitoring_active(self) -> bool:
-        return self.mode != DegradeMode.PASSTHROUGH
-
     def degrade(self, interval: int, cycle: int) -> str:
         """Step one rung down the ladder; returns the new mode."""
         ladder = DegradeMode.LADDER

@@ -3,7 +3,6 @@
 The supervisor owns the crash/restart state machine for the two
 monitoring components (``driver`` and ``detector``):
 
-* components **beat** while healthy (every supervised loop iteration);
 * a **crash** marks the component DOWN and consults its
   :class:`~repro.resilience.policy.RetryPolicy` for a restart delay
   (exponential backoff, measured in detector check intervals);
@@ -38,14 +37,13 @@ class ComponentStatus:
 class SupervisedComponent:
     """One supervised component's lifecycle record."""
 
-    __slots__ = ("name", "policy", "status", "last_beat", "restart_at",
-                 "crashes", "restarts", "breaker_trips")
+    __slots__ = ("name", "policy", "status", "restart_at", "crashes",
+                 "restarts", "breaker_trips")
 
     def __init__(self, name: str, policy: RetryPolicy):
         self.name = name
         self.policy = policy
         self.status = ComponentStatus.RUNNING
-        self.last_beat = 0
         #: Interval index at which the pending restart fires (DOWN only).
         self.restart_at: Optional[int] = None
         self.crashes = 0
@@ -63,7 +61,7 @@ class SupervisedComponent:
 
 
 class Supervisor:
-    """Heartbeats, backoff-scheduled restarts and the circuit breaker.
+    """Backoff-scheduled restarts and the circuit breaker.
 
     Time is counted in *detector check intervals* (the granularity at
     which ``Laser.run_built`` services the monitoring pipeline); the
@@ -84,22 +82,13 @@ class Supervisor:
     def __getitem__(self, name: str) -> SupervisedComponent:
         return self._components[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._components
-
     @property
     def components(self):
         return list(self._components.values())
 
     # ------------------------------------------------------------------
-    # Heartbeats and crashes
+    # Crashes
     # ------------------------------------------------------------------
-
-    def beat(self, name: str, interval: int) -> None:
-        """A healthy liveness signal from a RUNNING component."""
-        component = self._components[name]
-        if component.running:
-            component.last_beat = interval
 
     def crash(self, name: str, interval: int, cycle: int) -> bool:
         """Component died.  Returns True if a restart was scheduled,
@@ -141,7 +130,6 @@ class Supervisor:
         component = self._components[name]
         component.status = ComponentStatus.RUNNING
         component.restart_at = None
-        component.last_beat = interval
         component.restarts += 1
         if self.tracer.enabled:
             self.tracer.emit("resil.restart", cycle, component=name,
@@ -165,7 +153,6 @@ class Supervisor:
         if immediate:
             component.status = ComponentStatus.RUNNING
             component.restart_at = None
-            component.last_beat = interval
             component.restarts += 1
         else:
             component.status = ComponentStatus.DOWN

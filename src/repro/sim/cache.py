@@ -9,9 +9,7 @@ clean).
 
 import enum
 
-from repro._constants import CACHE_LINE_SIZE
-
-__all__ = ["LineState", "line_of", "line_base"]
+__all__ = ["LineState"]
 
 
 class LineState(enum.Enum):
@@ -19,13 +17,3 @@ class LineState(enum.Enum):
     EXCLUSIVE = "E"
     SHARED = "S"
     INVALID = "I"
-
-
-def line_of(addr: int) -> int:
-    """Cache line index of a byte address."""
-    return addr // CACHE_LINE_SIZE
-
-
-def line_base(addr: int) -> int:
-    """Base byte address of the cache line containing ``addr``."""
-    return addr - (addr % CACHE_LINE_SIZE)

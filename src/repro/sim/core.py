@@ -31,42 +31,15 @@ class CoreState(enum.Enum):
 class CoreStats:
     """Execution counters for one core."""
 
-    __slots__ = (
-        "instructions",
-        "loads",
-        "stores",
-        "atomics",
-        "fences",
-        "pauses",
-        "local_hitm_events",
-        "ssb_stores",
-        "ssb_loads",
-        "ssb_flushes",
-        "alias_checks",
-        "alias_misspeculations",
-        "busy_cycles",
-        "pmu_stall_cycles",
-    )
+    __slots__ = ("instructions", "busy_cycles", "pmu_stall_cycles",
+                 "ssb_flushes")
 
     def __init__(self):
         self.instructions = 0
-        self.loads = 0
-        self.stores = 0
-        self.atomics = 0
-        self.fences = 0
-        self.pauses = 0
-        self.local_hitm_events = 0
-        self.ssb_stores = 0
-        self.ssb_loads = 0
-        self.ssb_flushes = 0
-        self.alias_checks = 0
-        self.alias_misspeculations = 0
         self.busy_cycles = 0
+        #: Stall cycles the machine's PMU/profiler hooks charged here.
         self.pmu_stall_cycles = 0
-
-    @property
-    def memory_ops(self) -> int:
-        return self.loads + self.stores + self.atomics
+        self.ssb_flushes = 0
 
 
 class Core:
@@ -144,12 +117,10 @@ class Core:
             addr = inst.a.value_of(regs) + inst.offset
             value, latency = self.machine.mem_read(self, inst, addr, inst.size)
             regs[inst.rd] = value
-            self.stats.loads += 1
         elif op is Opcode.STORE:
             addr = inst.a.value_of(regs) + inst.offset
             value = inst.b.value_of(regs)
             latency = self.machine.mem_write(self, inst, addr, value, inst.size)
-            self.stats.stores += 1
         elif op is Opcode.MOV:
             regs[inst.rd] = inst.a.value_of(regs) & WORD_MASK
             latency = lat.alu
@@ -181,34 +152,24 @@ class Core:
             new = (old + inst.b.value_of(regs)) & WORD_MASK
             lat_write = self.machine.mem_write(self, inst, addr, new, inst.size)
             latency = lat_read + lat_write + lat.alu
-            self.stats.loads += 1
-            self.stats.stores += 1
         elif op is Opcode.SSB_ADDM:
             addr = inst.a.value_of(regs) + inst.offset
             old, mem_latency = self.ssb.load_through(self, inst, addr, inst.size)
             new = (old + inst.b.value_of(regs)) & WORD_MASK
             self.ssb.put(addr, new, inst.size)
-            self.stats.ssb_loads += 1
-            self.stats.ssb_stores += 1
-            self.stats.loads += 1
-            self.stats.stores += 1
             latency = lat.ssb_load + lat.ssb_store + mem_latency + lat.alu
             if self.ssb.should_preflush():
                 latency += self.ssb.flush(self.core_id)
                 self.stats.ssb_flushes += 1
         elif op is Opcode.CMPXCHG:
             latency = self._exec_cmpxchg(inst)
-            self.stats.atomics += 1
         elif op is Opcode.XADD:
             latency = self._exec_xadd(inst)
-            self.stats.atomics += 1
         elif op is Opcode.FENCE:
             latency = lat.fence + self._drain_ssb_if_active()
             latency += self.machine.fence_extra(self)
-            self.stats.fences += 1
         elif op is Opcode.PAUSE:
             latency = lat.pause
-            self.stats.pauses += 1
         elif op is Opcode.NOP:
             latency = lat.alu
         elif op is Opcode.HALT:
@@ -220,8 +181,6 @@ class Core:
             addr = inst.a.value_of(regs) + inst.offset
             value = inst.b.value_of(regs)
             self.ssb.put(addr, value, inst.size)
-            self.stats.ssb_stores += 1
-            self.stats.stores += 1
             latency = lat.ssb_store
             if self.ssb.should_preflush():
                 latency += self.ssb.flush(self.core_id)
@@ -232,8 +191,6 @@ class Core:
                 self, inst, addr, inst.size
             )
             regs[inst.rd] = value
-            self.stats.ssb_loads += 1
-            self.stats.loads += 1
             latency = lat.ssb_load + mem_latency
         elif op is Opcode.SSB_FLUSH:
             latency = self.ssb.flush(self.core_id)
@@ -241,11 +198,8 @@ class Core:
         elif op is Opcode.ALIAS_CHECK:
             addr = inst.a.value_of(regs) + inst.offset
             latency = lat.alias_check
-            self.stats.alias_checks += 1
             if self.ssb is not None and self.ssb.may_alias(addr, inst.size):
-                self.stats.alias_misspeculations += 1
                 latency += self.ssb.flush(self.core_id)
-                self.ssb.note_misspeculation()
         else:  # pragma: no cover - all opcodes handled above
             raise SimulationError("unknown opcode %r" % op)
 

@@ -44,12 +44,11 @@ class RunResult:
     def __init__(self, machine: "Machine", cycles: int, finished: bool):
         self.cycles = cycles
         self.finished = finished
-        self.core_stats = [core.stats for core in machine.cores]
-        self.registers = [list(core.registers) for core in machine.cores]
         self.hitm_count = machine.directory.hitm_count
         self.load_hitm_count = machine.directory.load_hitm_count
         self.store_hitm_count = machine.directory.store_hitm_count
-        self.instructions = sum(s.instructions for s in self.core_stats)
+        self.instructions = sum(core.stats.instructions
+                                for core in machine.cores)
 
     @property
     def hitm_rate_per_second(self) -> float:
@@ -133,15 +132,6 @@ class Machine:
         #: PMU / profiler hooks (None = free execution).
         self.on_hitm: Optional[HitmHook] = None
         self.on_memory_op: Optional[MemOpHook] = None
-        #: Cycles injected into cores by hooks, for overhead accounting.
-        self.injected_stall_cycles = 0
-
-    # ------------------------------------------------------------------
-    # Initial state helpers (used by workload setup code)
-    # ------------------------------------------------------------------
-
-    def set_register(self, thread_id: int, register: int, value: int) -> None:
-        self.cores[thread_id].registers[register] = value
 
     def fence_extra(self, core: Core) -> int:
         """Hook: extra cycles charged at fences / atomics / thread exit.
@@ -161,7 +151,6 @@ class Machine:
         result = self.directory.access(core.core_id, addr, size, is_write=False)
         latency = result.latency
         if result.hitm:
-            core.stats.local_hitm_events += 1
             latency += self._fire_hitm(core, inst, addr, is_write=False)
         if self.on_memory_op is not None:
             latency += self._fire_memop(core, inst)
@@ -174,7 +163,6 @@ class Machine:
         result = self.directory.access(core.core_id, addr, size, is_write=True)
         latency = result.latency
         if result.hitm:
-            core.stats.local_hitm_events += 1
             latency += self._fire_hitm(core, inst, addr, is_write=True)
         if self.on_memory_op is not None:
             latency += self._fire_memop(core, inst)
@@ -186,14 +174,12 @@ class Machine:
             return 0
         extra = self.on_hitm(core.core_id, inst, addr, is_write, self.cycle)
         if extra:
-            self.injected_stall_cycles += extra
             core.stats.pmu_stall_cycles += extra
         return extra
 
     def _fire_memop(self, core: Core, inst) -> int:
         extra = self.on_memory_op(core.core_id, inst, self.cycle)
         if extra:
-            self.injected_stall_cycles += extra
             core.stats.pmu_stall_cycles += extra
         return extra
 

@@ -12,7 +12,7 @@ attached).
 **One template per opcode.**  ``_TEMPLATES`` maps each compilable
 opcode (MOV, the ALU ops, SHL/SHR, the four conditional branches, JMP,
 PAUSE, NOP, LOAD, STORE, ADDM) to a function of one instruction that
-returns its compiled semantics as a ``_Template`` of five parts:
+returns its compiled semantics as a ``_Template`` of four parts:
 
 * *guards*: ``(setup, condition)`` pairs whose conditions together say
   an L1 hit is legal: no ``on_memory_op`` hook, no line straddle, and a
@@ -21,7 +21,6 @@ returns its compiled semantics as a ``_Template`` of five parts:
   holds (inline hits stamp ``directory.now``, as the interpreter's
   ``mem_read``/``mem_write`` do on every access);
 * *latency* in cycles, pin tax excluded;
-* *counters*: the CoreStats counters the instruction bumps;
 * *branch*: ``(condition, target)``, the condition ``None`` for an
   unconditional jump, or ``None`` for plain fallthrough.
 
@@ -34,8 +33,9 @@ guards nest, and when one fails control falls through to an exact
 opcode without a template (DIV, atomics, fences, SSB pseudo-ops,
 ALIAS_CHECK), so micro functions run slow instructions themselves.  A
 micro fast path does not touch CoreStats: it bumps its pc's slot of the
-trace's ``counts`` list, and the trace adds the counts into CoreStats
-(``flush_counts``) when the scheduler leaves the slice.
+trace's ``counts`` list, and the trace adds the counts into CoreStats'
+``instructions`` and ``busy_cycles`` (``flush_counts``) when the
+scheduler leaves the slice.
 
 **Tables with no holes.**  Every entry of a trace's block and micro
 tables is callable: a stub compiles the real function on first call
@@ -70,10 +70,6 @@ __all__ = ["CompiledTrace"]
 #: micro entry, so blocks and the interpreter run it.
 _MICRO_PC_BITS = 21
 _MICRO_PC_MASK = (1 << _MICRO_PC_BITS) - 1
-#: The CoreStats counters templates bump besides ``instructions`` and
-#: ``busy_cycles``, in the order block functions declare and flush
-#: their local tallies.
-_COUNTER_ORDER = ("loads", "stores", "pauses")
 
 #: Maximum instructions included in one compiled block.  Kept small:
 #: per-entry windows overlap (entry e and e+1 compile nearly the same
@@ -114,7 +110,6 @@ class _Template(NamedTuple):
     latency: int
     guards: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()
     body: Tuple[str, ...] = ()
-    counters: Tuple[str, ...] = ()
     branch: Optional[Tuple[Optional[str], int]] = None
 
 
@@ -163,7 +158,7 @@ def _jmp(inst: Instruction, lat: _Latency) -> _Template:
 
 
 def _pause(inst: Instruction, lat: _Latency) -> _Template:
-    return _Template(lat.pause, counters=("pauses",))
+    return _Template(lat.pause)
 
 
 def _nop(inst: Instruction, lat: _Latency) -> _Template:
@@ -183,7 +178,7 @@ def _load(inst: Instruction, lat: _Latency) -> _Template:
     # Invalid explicitly, so membership is the whole test, and a hit
     # causes no MESI transition.
     return _Template(
-        lat.l1, counters=("loads",),
+        lat.l1,
         guards=_mem_guards(inst, "_s = dl.get(a0 >> 6)",
                            "_s is not None and cid in _s"),
         body=(_STAMP, "_pg = pages.get(a0 >> 12)", "o = a0 & 4095",
@@ -192,11 +187,10 @@ def _load(inst: Instruction, lat: _Latency) -> _Template:
     )
 
 
-def _write_hit(inst: Instruction, latency: int, counters: Tuple[str, ...],
-               data: str) -> _Template:
+def _write_hit(inst: Instruction, latency: int, data: str) -> _Template:
     """A write hits in M, or in E with a silent E->M upgrade."""
     return _Template(
-        latency, counters=counters,
+        latency,
         guards=_mem_guards(
             inst,
             "_s = dl.get(a0 >> 6); _w = _s.get(cid) if _s is not None else None",
@@ -215,7 +209,7 @@ def _store(inst: Instruction, lat: _Latency) -> _Template:
         data = "(regs[%d] & %d).to_bytes(%d, 'little')" % (b.value, mask, size)
     else:
         data = repr((b.value & mask).to_bytes(size, "little"))
-    return _write_hit(inst, lat.l1, ("stores",), data)
+    return _write_hit(inst, lat.l1, data)
 
 
 def _addm(inst: Instruction, lat: _Latency) -> _Template:
@@ -224,7 +218,7 @@ def _addm(inst: Instruction, lat: _Latency) -> _Template:
     size = inst.size
     data = "((fb(_pg[o:o + %d], 'little') + %s) & %d).to_bytes(%d, 'little')" % (
         size, _val(inst.b), (1 << (8 * size)) - 1, size)
-    return _write_hit(inst, 2 * lat.l1 + lat.alu, ("loads", "stores"), data)
+    return _write_hit(inst, 2 * lat.l1 + lat.alu, data)
 
 
 #: The template table: opcode -> (template, operands it needs).  An
@@ -332,15 +326,10 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
     makes the generated sources small enough to compile cheaply.
     """
     tpls = [(i, _template(insts[i], lat)) for i in window]
-    counters = [c for c in _COUNTER_ORDER
-                if any(c in tpl.counters for _, tpl in tpls)]
-    lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):",
-             "    st = core.stats"]
+    lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):"]
     if any(tpl.guards for _, tpl in tpls):
         lines.append("    cid = core.core_id")
-    lines.append("    " + "; ".join(
-        ["n = 0", "bc = 0"] + ["n_%s = 0" % c for c in counters]))
-    lines.append("    while True:")
+    lines += ["    n = 0; bc = 0", "    while True:"]
     for i, tpl in tpls:
         stop = "ret = %d; break" % i
         code = ["if t > lb: " + stop]
@@ -353,9 +342,8 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
         cost = tpl.latency + tax
         if use_jitter:
             code += _JITTER
-        bumps = "".join("; n_%s += 1" % c for c in tpl.counters)
-        code.append("t += %d%s; bc += %d; n += 1%s" % (
-            cost, " + r" if use_jitter else "", cost, bumps))
+        code.append("t += %d%s; bc += %d; n += 1" % (
+            cost, " + r" if use_jitter else "", cost))
         if tpl.branch is not None:
             cond, target = tpl.branch
             go = "continue" if target == entry else "ret = %d; break" % target
@@ -364,10 +352,8 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
     last = tpls[-1][1].branch
     if last is None or last[0] is not None:
         lines.append("        ret = %d; break" % (window[-1] + 1))
-    lines.append("    " + "; ".join(
-        ["st.instructions += n", "st.busy_cycles += bc"]
-        + ["st.%s += n_%s" % (c, c) for c in counters]))
-    lines.append("    return ret, t")
+    lines += ["    st = core.stats; st.instructions += n; st.busy_cycles += bc",
+              "    return ret, t"]
     return "\n".join(lines)
 
 
@@ -518,9 +504,9 @@ class CompiledTrace:
         self.micro: List = [self._micro_stub(i) if fits else _to_pop
                             for i in range(n)] + [_to_pop]
         self.counts = [0] * n
-        # What one fast-path run of each pc adds to each CoreStats
-        # counter besides ``instructions`` (set as the pc compiles).
-        self._weights = {c: [0] * n for c in ("busy_cycles",) + _COUNTER_ORDER}
+        # What one fast-path run of each pc adds to CoreStats'
+        # ``busy_cycles`` (set as the pc compiles).
+        self._weights = [0] * n
 
     def _block_stub(self, entry: int):
         def stub(core, regs, t, *rest):
@@ -567,10 +553,7 @@ class CompiledTrace:
         if inst.op is Opcode.HALT:
             fn = _to_pop
         elif _includable(inst, self._fast_mem):
-            tpl = _template(inst, self._lat)
-            self._weights["busy_cycles"][i] = tpl.latency + self._tax
-            for counter in tpl.counters:
-                self._weights[counter][i] = 1
+            self._weights[i] = _template(inst, self._lat).latency + self._tax
             key = ("m", i, self._tax, self._use_jitter, self._lat,
                    _inst_sig(inst))
             fn = _compile(key, "<trace-micro>", _render_micro, inst, i,
@@ -595,7 +578,5 @@ class CompiledTrace:
         total = sum(counts)
         if total:
             stats.instructions += total
-            for counter, weight in self._weights.items():
-                setattr(stats, counter, getattr(stats, counter)
-                        + sum(map(mul, counts, weight)))
+            stats.busy_cycles += sum(map(mul, counts, self._weights))
             counts[:] = [0] * len(counts)

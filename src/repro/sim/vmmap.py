@@ -86,9 +86,6 @@ class VirtualMemoryMap:
         self._regions.insert(index, region)
         self._starts.insert(index, region.start)
 
-    def regions(self) -> List[Region]:
-        return list(self._regions)
-
     def find(self, addr: int) -> Optional[Region]:
         """The region containing ``addr``, or None if unmapped.
 

@@ -109,10 +109,6 @@ class StrideInterval:
         return self.lo is not None and self.hi is not None
 
     @property
-    def is_top(self) -> bool:
-        return self.lo is None and self.hi is None
-
-    @property
     def span(self) -> Optional[int]:
         """``hi - lo`` when bounded, else None."""
         if not self.is_bounded:

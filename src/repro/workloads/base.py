@@ -128,10 +128,6 @@ class Workload:
         """
         return None
 
-    @property
-    def has_significant_bug(self) -> bool:
-        return any(bug.significant for bug in self.bugs)
-
     def bug_locations(self) -> List[SourceLocation]:
         out = []
         for bug in self.bugs:

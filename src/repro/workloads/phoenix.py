@@ -321,10 +321,6 @@ class Kmeans(Workload):
         """
         return self.build(heap_offset, seed, scale, fixed=True)
 
-    def _obj_addr(self, objects: int, batch: int, worker: int,
-                  workers: int) -> int:
-        return objects + (batch * workers + worker) * 64
-
     def _main(self, objects: int, ready: List[int], done: List[int],
               modified_flag: int, batches: int, workers: int, fixed: bool):
         asm = Assembler("kmeans_main")

@@ -3,23 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import LineState, line_base, line_of
+from repro.sim.cache import LineState
 from repro.sim.coherence import CoherenceDirectory
 from repro.sim.timing import LatencyModel
 
 
 def make_directory():
     return CoherenceDirectory(LatencyModel())
-
-
-class TestLineHelpers:
-    def test_line_of(self):
-        assert line_of(0) == 0
-        assert line_of(63) == 0
-        assert line_of(64) == 1
-
-    def test_line_base(self):
-        assert line_base(100) == 64
 
 
 class TestStateTransitions:

@@ -234,7 +234,7 @@ class TestAdmissionControl:
         for i in range(4):
             driver.deliver([_record(i)])
         assert driver.records_shed == 3
-        assert journal.appended == 1
+        assert journal.head_seq == 1
 
     def test_budget_validation(self):
         driver = KernelDriver(RecordJournal())

@@ -35,12 +35,10 @@ class TestRecordFilter:
     def test_app_pc_with_heap_address_passes(self):
         f = self._filter()
         assert f.admit(PebsRecord(APP_CODE_BASE + 8, 0x10000000, 0, 5))
-        assert f.passed == 1
 
     def test_spurious_kernel_pc_dropped(self):
         f = self._filter()
         assert not f.admit(PebsRecord(KERNEL_BASE + 8, 0x10000000, 0, 5))
-        assert f.dropped_bad_pc == 1
 
     def test_unmapped_pc_dropped(self):
         f = self._filter()
@@ -50,7 +48,6 @@ class TestRecordFilter:
         f = self._filter()
         record = PebsRecord(APP_CODE_BASE + 8, STACK_TOP - 128, 0, 5)
         assert not f.admit(record)
-        assert f.dropped_stack_addr == 1
 
     def test_unmapped_data_address_passes(self):
         """Figure 4 drops only stack data addresses, nothing else."""

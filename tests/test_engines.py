@@ -387,7 +387,6 @@ def _machine_state(machine, result, log):
                  directory.store_hitm_count,
                  directory.serialization_stall_cycles),
         "directory_now": directory.now,
-        "stalls": machine.injected_stall_cycles,
         "htm": (machine.htm.commits, machine.htm.aborts),
         "ssb": None if ssb is None else (
             dict(ssb._bytes),

@@ -251,8 +251,9 @@ class TestMachineLoop:
         machine.run()
         # The stall cycles are charged (total runtime may move either
         # way: a stalled writer also acts as contention backoff).
-        assert machine.injected_stall_cycles >= 500
-        assert machine.cores[0].stats.pmu_stall_cycles > 0
+        stalls = [core.stats.pmu_stall_cycles for core in machine.cores]
+        assert sum(stalls) >= 500
+        assert stalls[0] > 0
 
     def test_replace_code_mid_run_remaps_pc(self):
         program = make_counter_program(num_threads=1, iters=500)

@@ -20,11 +20,16 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from repro.core.config import LaserConfig
 from repro.core.laser import Laser
+from repro.experiments.chaos import CRASH_SCHEDULES, schedule_plan
+from repro.experiments.frontier import CONTROL_PROFILES
+from repro.faults import FaultPlan
+from repro.fleet.transport import ShardTransport
 from repro.obs import NULL_TRACER, EventTracer, RunTelemetry, WindowStats
 from repro.obs.trace import chrome_lane
 from repro.workloads.registry import get_workload
@@ -280,38 +285,164 @@ class TestRunTraceContent:
         assert all(e.get("s") == "t" for e in instants)
 
 
+def _reconcile_cells():
+    """The traced runs the reconciler checks, as (id, workload, config
+    overrides, plan factory, attach a ShardTransport)."""
+
+    def burst():
+        return FaultPlan(0).add("load.burst", probability=0.5,
+                                max_fires=1200)
+
+    cells = []
+    for workload in ("histogram'", "linear_regression"):
+        def cell(name, plan, transport=False, **config):
+            cells.append(("%s/%s" % (workload, name), workload, config,
+                          plan, transport))
+
+        cell("fault-free", lambda: None)
+        for name in CRASH_SCHEDULES:
+            cell(name, lambda name=name: schedule_plan(name))
+        for site in ("detector.stall", "driver.outbox_overflow",
+                     "pebs.record_drop", "repair.error", "htm.abort"):
+            cell(site, lambda site=site: FaultPlan(0).add(
+                site, probability=0.3))
+        cell("burst-tight", burst, repair_enabled=False,
+             **CONTROL_PROFILES["tight"])
+        cell("burst-stuck", lambda: burst().add("control.stuck",
+                                                probability=0.5),
+             **CONTROL_PROFILES["on"])
+        # Zero restart budget: each plan walks the degrade ladder to
+        # passthrough, replaying and (a halted driver) dropping records.
+        cell("ladder-detector", lambda: FaultPlan(0).add(
+            "detector.crash", at=(0, 2, 4, 6)), max_component_restarts=0)
+        cell("ladder-driver", lambda: FaultPlan(0).add(
+            "driver.crash", at=(1, 3)), max_component_restarts=0)
+        cell("ladder-driver-always", lambda: FaultPlan(0).add(
+            "driver.crash", probability=1.0), max_component_restarts=0)
+        cell("partition", lambda: FaultPlan(0).add(
+            "shard.partition", probability=0.4), transport=True)
+    return cells
+
+
+_RECONCILE_CELLS = _reconcile_cells()
+
+
+def _reconciled_run(workload, config, plan=None, transport=None):
+    """A traced run whose ring is large enough that nothing is evicted."""
+    config = LaserConfig(trace_enabled=True, trace_capacity=1 << 20,
+                         **config)
+    return Laser(config, faults=plan, transport=transport).run_workload(
+        get_workload(workload))
+
+
+def _mismatches(result):
+    """Every counter that disagrees with its window total or events.
+
+    Window totals must equal the PMU, pipeline, driver and SSB totals;
+    each RunHealth counter listed below must equal what its trace
+    events add up to.
+    """
+    events = result.telemetry.tracer.events()
+    names = Counter(event.name for event in events)
+
+    def count(name, **args):
+        return sum(1 for event in events if event.name == name
+                   and all(event.args[k] == v for k, v in args.items()))
+
+    def total(name, arg):
+        return sum(event.args[arg] for event in events if event.name == name)
+
+    stats, driver = result.pipeline.stats, result.driver
+    buffers = [core.ssb for core in result.machine.cores
+               if core.ssb is not None] + result.resilience.detached_buffers
+    owners = {
+        "hitm_events": result.pmu.total_hitm_count,
+        "records_offered": result.pmu.records_generated,
+        "records_seen": stats.records_seen,
+        "records_admitted": stats.records_admitted,
+        "detector_cycles": stats.detector_cycles,
+        "records_dropped": driver.records_dropped,
+        "records_shed": driver.records_shed,
+        "driver_cycles": driver.driver_cycles,
+        "ssb_flushes": sum(ssb.stats.flushes for ssb in buffers),
+        "ssb_htm_aborts": sum(ssb.stats.htm_aborts for ssb in buffers),
+    }
+    reasons = [event.args["reason"] for event in events
+               if event.name == "repair.backoff"]
+    verifier = sum("verification failed" in reason for reason in reasons)
+    errors = reasons.count("repair_error")
+    traced = {
+        "detector_stalls": names["detector.stall"],
+        "detector_restarts": names["detector.resync"],
+        "breaker_trips": names["resil.breaker_trip"],
+        "checkpoints_written": names["resil.checkpoint"],
+        "checkpoints_restored": names["resil.restore"],
+        "checkpoints_corrupt": names["resil.checkpoint_corrupt"],
+        "records_replayed": total("resil.replay", "records"),
+        "records_dropped": (total("driver.outbox_drop", "dropped")
+                            + total("driver.halted_drop", "dropped")),
+        "records_shed": total("control.shed", "shed"),
+        "rollbacks": names["repair.detach"],
+        "repairs_quarantined": sum(
+            len(event.args["lines"]) for event in events
+            if event.name == "repair.quarantine"),
+        "repair_errors": errors,
+        "repair_verifier_rejections": verifier,
+        "repair_rejections": len(reasons) - errors - verifier,
+        "htm_aborts": names["htm.abort"],
+        "control_mode_changes": names["control.mode"],
+        "control_stuck_intervals": names["control.stuck"],
+        "transport_partitions": names["fleet.partition"],
+        "transport_records_delayed": total("fleet.heal", "delivered_late"),
+    }
+    for component in ("detector", "driver"):
+        traced[component + "_crashes"] = count(
+            "resil.crash", component=component)
+        traced[component + "_crash_restarts"] = (
+            count("resil.restart", component=component)
+            + count("resil.rearm", component=component, immediate=True))
+    totals, health = result.telemetry.totals(), result.health
+    problems = ["window %s: %d, owner %d" % (name, totals[name], want)
+                for name, want in owners.items() if totals[name] != want]
+    problems += ["health %s: %d, events %d" % (name, getattr(health, name),
+                                               want)
+                 for name, want in traced.items()
+                 if getattr(health, name) != want]
+    if result.telemetry.tracer.events_dropped:
+        problems.append("the ring evicted events")
+    return problems
+
+
 class TestTelemetryTotals:
+    """The reconciler: windows, RunHealth and trace events agree.
+
+    Each additive window field sums to the counter of the component
+    that owns it, and each RunHealth counter equals the count (or the
+    summed size) of the trace events its path emits.
+    """
+
     def test_totals_match_run_counters_under_storm(self):
-        """Each additive window field sums to the run's own counter.
-
-        A controller-on record storm moves the record fields far apart:
-        the PMU offers five times what the detector sees, and admission
-        shedding discards the rest at the driver.
-        """
-        from repro.experiments.frontier import CONTROL_PROFILES
-        from repro.faults import FaultPlan
-
-        config = LaserConfig(sample_after_value=1, repair_enabled=False,
-                             **CONTROL_PROFILES["on"])
-        plan = FaultPlan(0).add("load.burst", probability=1.0)
-        result = Laser(config, faults=plan).run_workload(
-            get_workload("linear_regression"))
+        """A controller-on record storm moves the record fields far
+        apart: the PMU offers five times what the detector sees, and
+        admission shedding discards the rest at the driver."""
+        result = _reconciled_run(
+            "linear_regression",
+            dict(sample_after_value=1, repair_enabled=False,
+                 **CONTROL_PROFILES["on"]),
+            FaultPlan(0).add("load.burst", probability=1.0))
+        assert _mismatches(result) == []
         totals = result.telemetry.totals()
-        assert {
-            name: totals[name]
-            for name in ("hitm_events", "records_seen", "records_admitted",
-                         "records_dropped", "records_shed",
-                         "records_offered")
-        } == {
-            "hitm_events": result.pmu.total_hitm_count,
-            "records_seen": result.pipeline.stats.records_seen,
-            "records_admitted": result.pipeline.stats.records_admitted,
-            "records_dropped": result.driver.records_dropped,
-            "records_shed": result.driver.records_shed,
-            "records_offered": result.pmu.records_generated,
-        }
         assert totals["records_shed"] > 0
         assert totals["records_offered"] > totals["records_seen"]
+
+    @pytest.mark.parametrize(
+        "workload, config, plan, transport",
+        [cell[1:] for cell in _RECONCILE_CELLS],
+        ids=[cell[0] for cell in _RECONCILE_CELLS])
+    def test_counters_reconcile(self, workload, config, plan, transport):
+        result = _reconciled_run(workload, config, plan(),
+                                 ShardTransport() if transport else None)
+        assert _mismatches(result) == []
 
 
 class TestRunHealthSurfacing:

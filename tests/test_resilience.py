@@ -6,8 +6,7 @@ Four layers of coverage:
   record journal (sequence stamping, batch marks, replay splitting,
   dedup idempotence, compaction), the CRC-guarded checkpoint store
   (generations, corrupt fallback, schema guard), and the supervisor
-  state machine (heartbeats, backoff restarts, circuit breaker,
-  rearm);
+  state machine (backoff restarts, circuit breaker, rearm);
 * system tests driving ``Laser`` under exact crash schedules: the
   checkpoint-less cold start, pre-poll and post-read detector crashes,
   driver wipes healed from the journal, corrupt-checkpoint fallback,
@@ -391,7 +390,7 @@ class TestTruncationRace:
 
 
 # ----------------------------------------------------------------------
-# Supervisor: heartbeats, restarts, breaker, rearm
+# Supervisor: restarts, breaker, rearm
 # ----------------------------------------------------------------------
 
 
