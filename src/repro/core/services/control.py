@@ -108,11 +108,17 @@ class ControlService(Service):
     def on_checkpoint_restore(self, ctx, state) -> None:
         if not self._enabled(ctx):
             return
+        controller = self.controller
+        # The tallies count control.mode and control.stuck events the
+        # run has already emitted: a restore rolls the ladder back, not
+        # them.
+        tallies = controller.mode_changes, controller.stuck_intervals
         if state is None or "control" not in state:
             # Cold start (or a pre-control checkpoint generation).
-            self.controller.reset()
+            controller.reset()
         else:
-            self.controller.load_state_dict(state["control"])
+            controller.load_state_dict(state["control"])
+        controller.mode_changes, controller.stuck_intervals = tallies
         # Reapply: a crash may have died mid-shed, and the restored
         # mode must keep actuating the same knobs it did before.
         self._apply_knobs(ctx)

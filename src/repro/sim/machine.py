@@ -12,6 +12,7 @@ overhead becomes visible in simulated runtime.
 """
 
 import heapq
+from itertools import repeat
 from typing import Callable, List, Optional
 
 from repro._constants import NUM_CORES
@@ -19,7 +20,7 @@ from repro.accel import resolve_sim_engine
 from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.obs.trace import NULL_TRACER
-from repro.rng import RngStreams
+from repro.rng import RngStreams, binary_draws
 from repro.sim.allocator import Allocator
 from repro.sim.coherence import CoherenceDirectory
 from repro.sim.core import Core, CoreState
@@ -36,6 +37,10 @@ HitmHook = Callable[[int, object, int, bool, int], int]
 
 #: Signature of the memory-op hook used by heavyweight profilers.
 MemOpHook = Callable[[int, object, int], int]
+
+#: What a parked spin-wait adds per instruction on a machine without
+#: jitter: nothing, and the stream stays untouched.
+_NO_JITTER = repeat(0).__next__
 
 
 class RunResult:
@@ -116,6 +121,9 @@ class Machine:
         self.cycle = 0
         self.jitter = jitter
         self._jitter_rng = self.rng.stream("interleave")
+        #: One interleave jitter draw, ``randrange(0, 2)`` of the
+        #: stream above, per call; both engines draw from it.
+        self._jitter = binary_draws(self._jitter_rng).__next__
         #: Simulator engine: "trace" runs precompiled basic-block
         #: traces with interpreter fallback at every slow/interaction
         #: point; "interp" is the legacy per-instruction loop.  Both are
@@ -214,7 +222,7 @@ class Machine:
         if not hasattr(self, "_ready"):
             self._init_ready_heap()
         ready = self._ready
-        jitter_rng = self._jitter_rng
+        jitter = self._jitter
         use_jitter = self.jitter
         tracer = self.tracer
         if tracer.enabled:
@@ -237,7 +245,7 @@ class Machine:
             core = self.cores[core_id]
             latency = core.step()
             if use_jitter:
-                latency += jitter_rng.randrange(0, 2)
+                latency += jitter()
             next_time = time + max(1, latency)
             if core.state is CoreState.RUNNING:
                 heapq.heappush(ready, (next_time, core_id))
@@ -274,9 +282,9 @@ class Machine:
         """Event loop backed by the precompiled-trace engine.
 
         Identical event semantics to ``_run_slice``: the scheduling
-        order, jitter stream consumption, latency charging and
-        pause/livelock checks are all preserved.  What differs is
-        implementation only:
+        order, jitter draws (one per instruction, from the same stream,
+        in pick order), latency charging and pause/livelock checks are
+        all preserved.  What differs is implementation only:
 
         * Ready cores are encoded ints ``(time << shift) | core_id``,
           whose order is exactly the heap's ``(time, core_id)`` order, in
@@ -304,12 +312,21 @@ class Machine:
           unwinds included (sums commute, and nothing reads core stats
           inside a slice).  Micro entries of HALT and of the end of the
           stream return -1, which hands the core to the reference pop.
+        * A core picked in a spin-wait parks when
+          ``CompiledTrace.park`` allows it.  A parked pick runs the
+          loop inline while ``t <= lb``: each instruction bumps its
+          pc's count and adds latency, pin tax and a jitter draw (none
+          without jitter); registers stay as they are.  At the LOAD
+          the core stamps ``directory.now`` and unparks if it no
+          longer holds the flag's line, and the burst runs the LOAD as
+          a miss, HITM and PMU hook included.  Parked state lives in
+          this slice only.
         """
         if not hasattr(self, "_ready"):
             self._init_ready_heap()
-        jitter_rng = self._jitter_rng
+        jit = self._jitter
         use_jitter = self.jitter
-        gb = jitter_rng.getrandbits
+        park_jit = jit if use_jitter else _NO_JITTER
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit("machine.slice", self.cycle, ph="B",
@@ -317,18 +334,29 @@ class Machine:
         limit = min(until_cycle, max_cycles) if until_cycle is not None else max_cycles
         cores = self.cores
         ncores = len(cores)
-        dl = self.directory._lines
+        directory = self.directory
+        dl = directory._lines
         pages = self.memory._pages
         shift = max(3, (ncores - 1).bit_length())
         cid_mask = (1 << shift) - 1
         huge = (max_cycles + 16) << shift
         active = sorted([huge] + [(t << shift) | c for t, c in self._ready])
         # Per-core dispatch state, hoisted for the slice: (table, micro,
-        # leader flags, registers, counts).  Safe to cache because code
-        # swaps and SSB attach/detach (``replace_code``) only happen
-        # from services, which run between slices.
+        # leader flags, registers, counts, spin-waits, weights) of every
+        # queued core.  Safe to cache because code swaps and SSB
+        # attach/detach (``replace_code``) only happen from services,
+        # which run between slices.
         tstate: List = [None] * ncores
-        used: List = []  # (trace, its core's stats) per dispatched core
+        used: List = []  # (trace, its core's stats) per queued core
+        for entry in active[:-1]:
+            core = cores[entry & cid_mask]
+            trace = self._trace_for(core)
+            used.append((trace, core.stats))
+            tstate[core.core_id] = (trace.table, trace.micro, trace.leaders,
+                                    core.registers, trace.counts,
+                                    trace.spins, trace._weights)
+        # (flag line holders, LOAD pc, next pcs) per parked core.
+        parked: List = [None] * ncores
 
         def flush_counts():
             for trace, stats in used:
@@ -359,19 +387,39 @@ class Machine:
                     )
                 core_id = m1 & cid_mask
                 core = cores[core_id]
-                ts = tstate[core_id]
-                if ts is None:
-                    trace = self._trace_for(core)
-                    used.append((trace, core.stats))
-                    ts = tstate[core_id] = (trace.table, trace.micro,
-                                            trace.leaders, core.registers,
-                                            trace.counts)
-                table, micro, lflags, regs, cnt = ts
+                table, micro, lflags, regs, cnt, spins, wts = tstate[core_id]
                 pc2 = core.pc_index
                 # Largest t with ((t << shift) | core_id) < runner-up.
                 lb = (active[1] - core_id - 1) >> shift
                 if lb > limit:
                     lb = limit
+                t2 = time
+                if spins is not None:
+                    pk = parked[core_id]
+                    if pk is None:
+                        park = spins[pc2]
+                        if park is not None:
+                            pk = parked[core_id] = park(self, core_id, regs)
+                    if pk is not None:
+                        # Parked: run the loop's instructions with no
+                        # micro call while the core holds the flag line.
+                        held, s, nxt = pk
+                        while t2 <= lb:
+                            if pc2 == s:
+                                directory.now = t2
+                                if core_id not in held:
+                                    # Unpark before the load: the burst
+                                    # below runs it as a miss.
+                                    parked[core_id] = None
+                                    break
+                            cnt[pc2] += 1
+                            t2 += wts[pc2] + park_jit()
+                            pc2 = nxt[pc2]
+                        else:
+                            core.pc_index = pc2
+                            active[0] = (t2 << shift) | core_id
+                            active.sort()
+                            continue
                 # Burst: execute while this core's time still wins the
                 # next selection (t2 <= lb holds at each loop head).
                 # Long horizons at a basic-block leader run a block
@@ -380,10 +428,9 @@ class Machine:
                 # inside the micro function for slow ops) — so the burst
                 # flows through memory misses, atomics and SSB ops
                 # without returning to the scheduler.
-                t2 = time
                 while True:
                     if lflags[pc2] and lb - t2 >= 4:
-                        pc3, t3 = table[pc2](core, regs, t2, lb, gb, dl,
+                        pc3, t3 = table[pc2](core, regs, t2, lb, jit, dl,
                                              pages, self)
                         if t3 != t2:
                             pc2, t2 = pc3, t3
@@ -393,7 +440,7 @@ class Machine:
                         # Entry bail (memory op needing the full
                         # coherence path): fall through to the micro
                         # step, which handles it exactly.
-                    v = micro[pc2](regs, t2, gb, core, dl, pages, cnt)
+                    v = micro[pc2](regs, t2, jit, core, dl, pages, cnt)
                     if v < 0:
                         break  # HALT or end of stream: the pop below.
                     t2 = v >> 21  # _MICRO_PC_BITS
@@ -411,7 +458,7 @@ class Machine:
                 self.cycle = time
                 latency = core.step()
                 if use_jitter:
-                    latency += jitter_rng.randrange(0, 2)
+                    latency += jit()
                 next_time = time + max(1, latency)
                 if core.state is CoreState.RUNNING:
                     active[0] = (next_time << shift) | core_id

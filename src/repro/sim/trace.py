@@ -2,12 +2,11 @@
 
 The reference interpreter (`Core.step` driven by `Machine._run_slice`)
 pays full Python dispatch per instruction: an enum compare chain,
-operand ``value_of`` calls, a dict lookup for ALU lambdas, and a
-``randrange`` call for interleave jitter.  This module compiles a
-core's instruction stream into generated Python functions instead, with
-operands folded into literals and latencies charged as constants
-(pin-tax variants are separate traces, selected by whether an SSB is
-attached).
+operand ``value_of`` calls and a dict lookup for ALU lambdas.  This
+module compiles a core's instruction stream into generated Python
+functions instead, with operands folded into literals and latencies
+charged as constants (pin-tax variants are separate traces, selected by
+whether an SSB is attached).
 
 **One template per opcode.**  ``_TEMPLATES`` maps each compilable
 opcode (MOV, the ALU ops, SHL/SHR, the four conditional branches, JMP,
@@ -43,16 +42,24 @@ tables is callable: a stub compiles the real function on first call
 the call.  HALT's micro entry and one extra entry past the end of the
 stream return -1, which sends the core to the scheduler's pop.
 
-Interleave jitter is drawn inline: ``r = gb(2); while r >= 2: r =
-gb(2)`` is state-identical to ``Random.randrange(0, 2)`` (CPython's
-``_randbelow_with_getrandbits`` with ``n.bit_length() == 2``), so the
-shared jitter stream advances exactly as under the interpreter.  The
-result is bit-identical simulation state (registers, memory, MESI
-states, stats, RNG stream, event order) at a fraction of the host time.
+**Spin-waits.**  ``CompiledTrace`` also finds each ``load; bcc out;
+pause; jmp load`` loop and sets its four pcs' weights, with no code:
+the scheduler parks a core in such a loop while the core holds the
+flag's line (``CompiledTrace.park``), and runs the loop's instructions
+itself (see ``Machine._run_slice_traced``).
+
+**One jitter stream.**  Every instruction draws its interleave jitter
+by calling ``jit()``, the machine's ``binary_draws`` stream: the draws
+of ``randrange(0, 2)`` on the machine's ``"interleave"`` Random,
+expanded 4,096 words at a time.  The interpreter draws from the same
+stream after each ``Core.step``, so both engines take the same draws in
+the same order.  The result is bit-identical simulation state
+(registers, memory, MESI states, stats, RNG stream, event order) at a
+fraction of the host time.
 """
 
 from functools import partial
-from operator import mul
+from operator import eq, ge, lt, mul, ne
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
@@ -89,8 +96,8 @@ _CACHE_MAX = 8192
 
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Interleave jitter, drawn exactly as ``Random.randrange(0, 2)`` does.
-_JITTER = ("r = gb(2)", "while r >= 2: r = gb(2)")
+#: One interleave jitter draw from the machine's stream.
+_JITTER = " + jit()"
 
 #: The interpreter's mem_read/mem_write stamp directory.now on every
 #: access, hits included; serialization stalls charged to later
@@ -313,9 +320,9 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
                   lat: _Latency, tax: int, use_jitter: bool) -> str:
     """Source of the block function for the window starting at ``entry``.
 
-    The signature is ``_f(core, regs, t, lb, gb, dl, pages, mach)``:
+    The signature is ``_f(core, regs, t, lb, jit, dl, pages, mach)``:
     core, its register list, the current cycle, the burst bound, the
-    jitter stream's ``getrandbits``, the coherence directory's
+    machine's jitter draw, the coherence directory's
     line->states dict, the sparse page dict, and the machine.  It
     returns ``(next_pc_index, time)``.
 
@@ -326,7 +333,7 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
     makes the generated sources small enough to compile cheaply.
     """
     tpls = [(i, _template(insts[i], lat)) for i in window]
-    lines = ["def _f(core, regs, t, lb, gb, dl, pages, mach):"]
+    lines = ["def _f(core, regs, t, lb, jit, dl, pages, mach):"]
     if any(tpl.guards for _, tpl in tpls):
         lines.append("    cid = core.core_id")
     lines += ["    n = 0; bc = 0", "    while True:"]
@@ -340,10 +347,8 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
                 code.append("if not (%s): %s" % (cond, stop))
         code += tpl.body
         cost = tpl.latency + tax
-        if use_jitter:
-            code += _JITTER
         code.append("t += %d%s; bc += %d; n += 1" % (
-            cost, " + r" if use_jitter else "", cost))
+            cost, _JITTER if use_jitter else "", cost))
         if tpl.branch is not None:
             cond, target = tpl.branch
             go = "continue" if target == entry else "ret = %d; break" % target
@@ -358,9 +363,8 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
 
 
 def _micro_return(cost: int, nxt: int, use_jitter: bool) -> Tuple[str, ...]:
-    if use_jitter:
-        return _JITTER + ("return ((t + %d + r) << 21) | %d" % (cost, nxt),)
-    return ("return ((t + %d) << 21) | %d" % (cost, nxt),)
+    return ("return ((t + %d%s) << 21) | %d" % (
+        cost, _JITTER if use_jitter else "", nxt),)
 
 
 def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
@@ -377,7 +381,7 @@ def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
     head = ("core.pc_index = %d" % i, "core.machine.cycle = t",
             "L = core.step()")
     if use_jitter:
-        head += _JITTER + ("L = L + r",)
+        head += ("L = L" + _JITTER,)
     return head + ("return ((t + (L if L > 0 else 1)) << 21) | core.pc_index",)
 
 
@@ -385,7 +389,7 @@ def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
                   tax: int, use_jitter: bool) -> str:
     """Source of the micro function for instruction ``i``.
 
-    The signature is ``_f(regs, t, gb, core, dl, pages, cnt)``; it
+    The signature is ``_f(regs, t, jit, core, dl, pages, cnt)``; it
     returns ``(time << 21) | next_pc``.  Unlike block functions there is
     no loop, no burst-bound check and no stats flush: the caller
     guarantees the instruction's time is within the burst bound, and
@@ -396,7 +400,7 @@ def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
     template, whose micro function is the exact ``core.step()`` tail
     alone.
     """
-    lines = ["def _f(regs, t, gb, core, dl, pages, cnt):"]
+    lines = ["def _f(regs, t, jit, core, dl, pages, cnt):"]
     if inst is not None:
         tpl = _template(inst, lat)
         ind = "    "
@@ -447,7 +451,25 @@ def _compile(key: tuple, filename: str, render, *args):
     return fn
 
 
-def _to_pop(regs, t, gb, core, dl, pages, cnt):
+#: The exits a spin-wait may test, as ``taken(a, b)``.
+_TAKEN = {Opcode.BEQ: eq, Opcode.BNE: ne, Opcode.BLT: lt, Opcode.BGE: ge}
+
+
+def _is_spin_wait(insts: List[Instruction], s: int, fast_mem: bool) -> bool:
+    """Is ``insts[s:s + 4]`` a ``load; bcc out; pause; jmp load`` loop?
+
+    The LOAD must be templated and must not load its own base register.
+    """
+    load, branch, pause, jump = insts[s:s + 4]
+    return (load.op is Opcode.LOAD and _includable(load, fast_mem)
+            and not (load.a.is_reg and load.a.value == load.rd)
+            and branch.op in _TAKEN and _includable(branch, fast_mem)
+            and not s <= branch.target <= s + 3
+            and pause.op is Opcode.PAUSE
+            and jump.op is Opcode.JMP and jump.target == s)
+
+
+def _to_pop(regs, t, jit, core, dl, pages, cnt):
     """Micro entry of HALT and of the end of the stream.
 
     -1 sends the core to the scheduler's pop, whose ``core.step()``
@@ -465,12 +487,16 @@ class CompiledTrace:
     start as stubs and compile on first call, because mid-block
     re-entry (after an interleave or a bail) is the common case in
     parallel phases, not the exception.  ``counts[i]`` is how often the
-    micro fast path ran instruction ``i`` since the last
-    ``flush_counts``.
+    micro fast path or a parked spin-wait ran instruction ``i`` since
+    the last ``flush_counts``.  ``spins[i]`` parks a core in the
+    spin-wait that pc ``i`` belongs to (``park`` bound to its LOAD's pc;
+    ``None`` elsewhere, and ``spins`` itself is ``None`` when the stream
+    has no spin-wait).
     """
 
-    __slots__ = ("insts", "table", "micro", "leaders", "counts", "_weights",
-                 "_lat", "_tax", "_use_jitter", "_fast_mem")
+    __slots__ = ("insts", "table", "micro", "leaders", "counts", "spins",
+                 "_after", "_weights", "_lat", "_tax", "_use_jitter",
+                 "_fast_mem")
 
     def __init__(self, insts: List[Instruction], latency, taxed: bool,
                  use_jitter: bool, fast_mem: bool):
@@ -505,8 +531,21 @@ class CompiledTrace:
                             for i in range(n)] + [_to_pop]
         self.counts = [0] * n
         # What one fast-path run of each pc adds to CoreStats'
-        # ``busy_cycles`` (set as the pc compiles).
+        # ``busy_cycles`` (set as the pc compiles, or here for the pcs
+        # of a spin-wait, which a parked core runs without compiling).
         self._weights = [0] * n
+        self.spins = None
+        # The pc after each pc of a spin-wait: its JMP goes to its LOAD.
+        self._after = list(range(1, n + 1))
+        for s in range(n - 3):
+            if _is_spin_wait(insts, s, fast_mem):
+                if self.spins is None:
+                    self.spins = [None] * (n + 1)
+                self._after[s + 3] = s
+                self.spins[s:s + 4] = [partial(self.park, s)] * 4
+                for i in range(s, s + 4):
+                    self._weights[i] = (_template(insts[i], self._lat).latency
+                                        + self._tax)
 
     def _block_stub(self, entry: int):
         def stub(core, regs, t, *rest):
@@ -568,8 +607,33 @@ class CompiledTrace:
         self.micro[i] = fn
         return fn
 
+    def park(self, s: int, machine, cid: int, regs):
+        """``(holders, s, next pcs)`` if core ``cid`` may park, else None.
+
+        ``s`` is the spin-wait's LOAD and ``holders`` its flag line's
+        holder dict.  A parked core repeats the loop unchanged for as
+        long as it holds that line: with no ``on_memory_op`` hook and no
+        straddle the LOAD is an L1 hit that returns ``regs[rd]`` again,
+        and the branch, not taken on these registers, stays not taken.
+        Only a write changes the flag, and every write drops the other
+        holders.
+        """
+        load, branch = self.insts[s], self.insts[s + 1]
+        if machine.on_memory_op is not None:
+            return None
+        addr = load.a.value_of(regs) + load.offset
+        if (addr & 63) + load.size > 64:
+            return None
+        held = machine.directory._lines.get(addr >> 6)
+        if (held is None or cid not in held
+                or regs[load.rd] != machine.memory.read(addr, load.size)
+                or _TAKEN[branch.op](branch.a.value_of(regs),
+                                     branch.b.value_of(regs))):
+            return None
+        return held, s, self._after
+
     def flush_counts(self, stats) -> None:
-        """Add the micro fast-path counts into ``stats`` and zero them.
+        """Add the per-pc counts into ``stats`` and zero them.
 
         ``busy_cycles`` grows by count x (latency + pin tax) per pc,
         which leaves out jitter as ``Core.step`` does.

@@ -18,8 +18,11 @@ so a monitored run imports nothing beyond the standard library.
 """
 
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,8 +40,10 @@ from repro.isa.assembler import Assembler  # noqa: E402
 from repro.isa.instructions import Instruction, Opcode, imm, reg  # noqa: E402
 from repro.isa.program import Program  # noqa: E402
 from repro.obs.trace import EventTracer  # noqa: E402
-from repro.sim.core import CoreStats  # noqa: E402
+from repro.rng import binary_draws  # noqa: E402
+from repro.sim.core import Core, CoreStats  # noqa: E402
 from repro.sim.machine import Machine  # noqa: E402
+from repro.sim.trace import CompiledTrace  # noqa: E402
 from repro.workloads import get_workload, workload_names  # noqa: E402
 
 SIM_ENGINES = ["interp", "trace"]
@@ -166,6 +171,90 @@ def test_streams_too_long_for_micro_pcs_match_interpreter(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# The jitter stream and parked spin-waits
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 2**40 + 7])
+def test_jitter_stream_matches_randrange(seed):
+    """The buffered stream is ``randrange(0, 2)``, draw for draw.
+
+    4,096-word batches keep at most 4,096 draws each, so 20,000 draws
+    span at least four batches.  One-word batches leave the ``Random``
+    exactly where ``randrange`` does after every draw, and no batch is
+    drawn before the first draw.
+    """
+    reference = random.Random(seed)
+    want = [reference.randrange(0, 2) for _ in range(20_000)]
+    assert list(islice(binary_draws(random.Random(seed)), 20_000)) == want
+
+    rng, reference = random.Random(seed), random.Random(seed)
+    draws = binary_draws(rng, words=1)
+    assert rng.getstate() == reference.getstate()
+    for _ in range(200):
+        assert next(draws) == reference.randrange(0, 2)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_kmeans_spin_waits_stay_parked(monkeypatch):
+    """Parking carries kmeans' flag hand-offs; it must not switch off.
+
+    Every PAUSE of kmeans sits in a ``load; bcc; pause; jmp`` wait, and
+    a monitored run at scale 0.25 retires tens of thousands of
+    instructions there.  The compiled functions of those pcs may run
+    only a few percent of them: the misses after each hand-off, and
+    the first trip of each wait.
+    """
+    workload = get_workload("kmeans")
+    retired = Counter()
+    step = Core.step
+
+    def counted_step(core):
+        retired[core.core_id, core.pc_index] += 1
+        return step(core)
+
+    monkeypatch.setattr(Core, "step", counted_step)
+    monkeypatch.setenv("LASER_SIM_ENGINE", "interp")
+    want = Laser(LaserConfig()).run_workload(workload, scale=0.25)
+    monkeypatch.setattr(Core, "step", step)
+
+    in_loops = 0
+    for core in want.machine.cores:
+        insts = core.instructions
+        spins = CompiledTrace(insts, want.machine.latency, False, True,
+                              True).spins or ()
+        loop = [i for i, spin in enumerate(spins) if spin is not None]
+        pauses = sum(inst.op is Opcode.PAUSE for inst in insts)
+        assert pauses and len(loop) == 4 * pauses
+        in_loops += sum(retired[core.core_id, i] for i in loop)
+
+    calls = Counter()
+
+    def counting(resolve, table):
+        def wrapped(self, i):
+            fn = resolve(self, i)
+            if fn is None or self.spins is None or self.spins[i] is None:
+                return fn
+
+            def counted(*args):
+                calls[table] += 1
+                return fn(*args)
+
+            getattr(self, table)[i] = counted
+            return counted
+        return wrapped
+
+    monkeypatch.setattr(CompiledTrace, "resolve",
+                        counting(CompiledTrace.resolve, "table"))
+    monkeypatch.setattr(CompiledTrace, "resolve_micro",
+                        counting(CompiledTrace.resolve_micro, "micro"))
+    monkeypatch.setenv("LASER_SIM_ENGINE", "trace")
+    got = Laser(LaserConfig()).run_workload(workload, scale=0.25)
+    assert got.cycles == want.cycles
+    assert in_loops > 20_000
+    assert sum(calls.values()) < 0.05 * in_loops, (calls, in_loops)
+
+
+# ----------------------------------------------------------------------
 # Differential programs: trace engine vs interpreter on generated code
 # ----------------------------------------------------------------------
 
@@ -206,17 +295,33 @@ _slow_kinds = st.sampled_from(("xadd", "fence", "div"))
 _ssb_slow_kinds = st.sampled_from(("xadd", "fence", "div", "ssb_store",
                                    "ssb_store", "ssb_store", "ssb_flush"))
 _item_kinds = st.sampled_from(("simple", "memory", "memory", "slow",
-                               "branch", "loop"))
+                               "branch", "loop", "spin", "signal"))
+#: A spin-wait's exit: mostly once its flag turns nonzero, sometimes
+#: on a test that may already hold at entry, or never.
+_exits = st.sampled_from((("bne", 0), ("bne", 0), ("bge", 1), ("beq", 0),
+                          ("blt", 2))) | st.tuples(_branch_ops, _regs)
+_signal_kinds = st.sampled_from(("store", "addm", "xadd"))
+_signal_values = st.integers(1, 3) | _values
+#: Where a spin-wait is entered: its LOAD, or (jumped to) the branch,
+#: the PAUSE or the JMP.
+_entries = st.sampled_from((0, 0, 0, 1, 2, 3))
+#: A spin-wait whose flag never changes runs until this backstop.
+_MAX_CYCLES = 8_000
 
 
 class _Thread:
-    """Assembler state while one generated thread is drawn."""
+    """Assembler state while one generated thread is drawn.
 
-    def __init__(self, draw, tid, lines, ssb):
+    ``flag`` is the case's (offset from the shared base, size) of the
+    word its spin-waits wait on and its signals write.
+    """
+
+    def __init__(self, draw, tid, lines, ssb, flag):
         self.draw = draw
         self.asm = Assembler("t%d" % tid)
         self.lines = lines
         self.ssb = ssb
+        self.flag = flag
         self.labels = 0
         self.pending = []  # (top-level item index, forward label)
 
@@ -310,9 +415,58 @@ _loop_items = st.sampled_from((_emit_simple, _emit_memory, _emit_memory,
                                _emit_slow))
 
 
+def _emit_spin(th):
+    """A ``load; bcc out; pause; jmp load`` wait on the case's flag.
+
+    The LOAD takes the flag through ``r8`` or an immediate address.  A
+    wait entered in its middle first reads the flag's line, so the core
+    may hold it, and sets the loaded register to a drawn value that may
+    disagree with memory.
+    """
+    draw, asm = th.draw, th.asm
+    off, size = th.flag
+    rd = draw(_regs)
+    base = _SHARED if draw(_one_in_five) == 0 else "r8"
+    top, out = th.label(), th.label()
+    mids = [th.label() for _ in range(3)]
+    entry = draw(_entries)
+    if entry:
+        asm.load(draw(_regs), "r8", offset=off & ~63, size=8)
+        asm.mov(rd, draw(_sources))
+        asm.jmp(mids[entry - 1])
+    asm.label(top)
+    asm.load(rd, base, offset=off, size=size)
+    asm.label(mids[0])
+    op, value = draw(_exits)
+    getattr(asm, op)(rd, value, out)
+    asm.label(mids[1])
+    asm.pause()
+    asm.label(mids[2])
+    asm.jmp(top)
+    asm.label(out)
+
+
+def _emit_signal(th):
+    """A store, RMW or XADD starting inside the flag.
+
+    Its size is drawn apart from the flag's, so on a flag that straddles
+    two lines it may write the second line alone.
+    """
+    draw, asm = th.draw, th.asm
+    off, size = th.flag
+    at = off + draw(st.integers(0, size - 1))
+    kind = draw(_signal_kinds)
+    if kind == "xadd":
+        asm.xadd(draw(_regs), "r8", draw(_signal_values), offset=at,
+                 size=draw(_sizes))
+    else:
+        getattr(asm, kind)("r8", draw(_signal_values), offset=at,
+                           size=draw(_sizes))
+
+
 @st.composite
-def _threads(draw, tid, lines, ssb):
-    th = _Thread(draw, tid, lines, ssb)
+def _threads(draw, tid, lines, ssb, flag):
+    th = _Thread(draw, tid, lines, ssb, flag)
     asm = th.asm
     asm.mov("r8", _SHARED)
     asm.mov("r9", _PRIVATE + tid * 0x10000)
@@ -326,7 +480,8 @@ def _threads(draw, tid, lines, ssb):
             _emit_forward_branch(th, index)
         else:
             {"simple": _emit_simple, "memory": _emit_memory,
-             "slow": _emit_slow, "loop": _emit_loop}[kind](th)
+             "slow": _emit_slow, "loop": _emit_loop, "spin": _emit_spin,
+             "signal": _emit_signal}[kind](th)
     for label in [lb for at, lb in th.pending if at > index]:
         asm.label(label)
     asm.halt()
@@ -350,7 +505,9 @@ class _Case:
 def _cases(draw):
     lines = draw(st.integers(1, 3))
     ssb = draw(st.booleans())
-    threads = [draw(_threads(tid, lines, ssb and tid == 0))
+    size = draw(_sizes)
+    flag = (64 * draw(_line_of[lines]) + draw(_within[size]), size)
+    threads = [draw(_threads(tid, lines, ssb and tid == 0, flag))
                for tid in range(draw(st.integers(1, 9)))]
     return _Case(
         threads, ssb=ssb, jitter=draw(st.booleans()),
@@ -401,11 +558,14 @@ def _run_case(case, engine, tracer=None):
 
     ``num_cores`` is at least the default 4; the scheduler's core-id
     field is sized by the thread count, so 1-9 threads run it at both
-    its 3-bit and 4-bit widths.
+    its 3-bit and 4-bit widths.  The jitter stream is refilled one
+    32-bit word at a time, so the state of the ``Random`` under it
+    pins the number of draws taken after every slice.
     """
     machine = Machine(case.program, seed=case.seed, jitter=case.jitter,
                       num_cores=max(4, case.program.num_threads),
                       tracer=tracer, engine=engine)
+    machine._jitter = binary_draws(machine._jitter_rng, words=1).__next__
     if case.ssb:
         machine.cores[0].ssb = SoftwareStoreBuffer(machine, core_id=0)
     log = []
@@ -424,9 +584,10 @@ def _run_case(case, engine, tracer=None):
     states = []
     try:
         for until in case.pauses:
-            states.append(_machine_state(
-                machine, machine.run(until_cycle=until), log))
-        states.append(_machine_state(machine, machine.run(), log))
+            states.append(_machine_state(machine, machine.run(
+                until_cycle=until, max_cycles=_MAX_CYCLES), log))
+        states.append(_machine_state(
+            machine, machine.run(max_cycles=_MAX_CYCLES), log))
     except SimulationError as error:
         states.append(_machine_state(machine, error, log))
     return states

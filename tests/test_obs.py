@@ -321,6 +321,11 @@ def _reconcile_cells():
             "driver.crash", probability=1.0), max_component_restarts=0)
         cell("partition", lambda: FaultPlan(0).add(
             "shard.partition", probability=0.4), transport=True)
+    # A detector restore mid-storm must not roll back the control tallies.
+    cells.append(("linear_regression/burst-tight-restore",
+                  "linear_regression",
+                  dict(repair_enabled=False, **CONTROL_PROFILES["tight"]),
+                  lambda: burst().add("detector.crash", at=(3, 9)), False))
     return cells
 
 
