@@ -1,18 +1,1 @@
 """Comparator baselines: VTune-like profiling and the Sheriff schemes."""
-
-from repro.baselines.vtune import VTuneProfiler, VTuneResult
-from repro.baselines.sheriff import (
-    SheriffMachine,
-    SheriffMode,
-    SheriffResult,
-    run_sheriff,
-)
-
-__all__ = [
-    "VTuneProfiler",
-    "VTuneResult",
-    "SheriffMachine",
-    "SheriffMode",
-    "SheriffResult",
-    "run_sheriff",
-]

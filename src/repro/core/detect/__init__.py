@@ -1,22 +1,1 @@
 """LASERDETECT: the HITM record processing pipeline of Section 4."""
-
-from repro.core.detect.filters import RecordFilter
-from repro.core.detect.linemap import LineAggregator, LineStats
-from repro.core.detect.linemodel import CacheLineModel, SharingType
-from repro.core.detect.loadstore import LoadStoreSets, MemoryOpInfo
-from repro.core.detect.pipeline import DetectionPipeline, PipelineStats
-from repro.core.detect.report import ContentionReport, LineReport
-
-__all__ = [
-    "RecordFilter",
-    "LineAggregator",
-    "LineStats",
-    "CacheLineModel",
-    "SharingType",
-    "LoadStoreSets",
-    "MemoryOpInfo",
-    "DetectionPipeline",
-    "PipelineStats",
-    "ContentionReport",
-    "LineReport",
-]

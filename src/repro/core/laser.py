@@ -54,7 +54,6 @@ from repro.pebs.imprecision import ImprecisionModel
 from repro.pebs.pmu import PerformanceMonitoringUnit
 from repro.resilience import ResilienceRuntime
 from repro.sim.machine import Machine
-from repro.static.race import certify_built
 
 __all__ = ["Laser", "LaserRunResult", "RunHealth"]
 
@@ -202,11 +201,13 @@ class Laser:
             tracer=tracer,
         )
         machine.on_hitm = pmu.on_hitm
-        # Static race certification: computed only when the repair gate
-        # asks for it, so default runs stay bit-identical to the golden
-        # pins.
+        # Static race certification: computed, and its analyzers
+        # imported, only when the repair gate asks for it, so default
+        # runs stay bit-identical to the golden pins.
         certificate = None
         if config.race_gate:
+            from repro.static.race import certify_built
+
             certificate = certify_built(built)
             tracer.emit(
                 "static.certificate", 0,

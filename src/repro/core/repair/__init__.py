@@ -1,19 +1,1 @@
 """LASERREPAIR: online false-sharing repair via a software store buffer."""
-
-from repro.core.repair.ssb import SoftwareStoreBuffer
-from repro.core.repair.analysis import ThreadRepairAnalysis, analyze_thread
-from repro.core.repair.alias import speculative_alias_analysis
-from repro.core.repair.cost import estimate_stores_per_flush
-from repro.core.repair.rewrite import rewrite_thread
-from repro.core.repair.manager import LaserRepair, RepairPlan
-
-__all__ = [
-    "SoftwareStoreBuffer",
-    "ThreadRepairAnalysis",
-    "analyze_thread",
-    "speculative_alias_analysis",
-    "estimate_stores_per_flush",
-    "rewrite_thread",
-    "LaserRepair",
-    "RepairPlan",
-]

@@ -232,8 +232,8 @@ class SoftwareStoreBuffer:
         per_entry = machine.latency.ssb_flush_entry
         latency = 0
         for addr, value, size in entries:
-            result = machine.directory.access(core_id, addr, size, is_write=True)
-            latency += result.latency + per_entry
+            latency += machine.directory.access(core_id, addr, size,
+                                                is_write=True)[0] + per_entry
             machine.memory.write(addr, value, size)
             self.stats.fallback_stores += 1
         return latency

@@ -24,7 +24,6 @@ from repro.core.repair.manager import RepairPlan
 from repro.core.services.base import Service
 from repro.core.services.context import ssb_abort_count, ssb_buffers
 from repro.errors import RepairError
-from repro.static.race import LineVerdict
 
 __all__ = ["RepairService"]
 
@@ -202,6 +201,9 @@ class RepairService(Service):
         config, certificate = ctx.config, ctx.certificate
         if not config.race_gate or certificate is None:
             return fs_lines
+        # Imported here: only race-gated runs load the certifier.
+        from repro.static.race import LineVerdict
+
         quarantined = [
             line for line in fs_lines
             if certificate.gate_verdict_for_location(line.location)

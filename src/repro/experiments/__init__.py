@@ -6,17 +6,3 @@ paper reports.  ``benchmarks/`` wraps these for pytest-benchmark; the
 modules are also runnable directly (``python -m
 repro.experiments.accuracy``).
 """
-
-from repro.experiments.runner import (
-    average_cycles,
-    native_cycles,
-    run_laser_on,
-    run_native,
-)
-
-__all__ = [
-    "average_cycles",
-    "native_cycles",
-    "run_laser_on",
-    "run_native",
-]

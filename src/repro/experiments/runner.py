@@ -19,7 +19,6 @@ worker count — parallelism changes wall-clock only.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.config import LaserConfig
@@ -96,7 +95,8 @@ class SweepRunner:
         self.maps_run = 0
         self.lifetime_cell_seconds = 0.0
         self.lifetime_elapsed_seconds = 0.0
-        self._pool: Optional[ProcessPoolExecutor] = None
+        #: The shared ``ProcessPoolExecutor`` (see ``_ensure_pool``).
+        self._pool = None
         self._pool_unavailable = False
 
     def map(self, fn: Callable, cells: Iterable) -> List:
@@ -122,7 +122,7 @@ class SweepRunner:
             return [fn(cell) for cell in cells]
         try:
             results = list(pool.map(fn, cells))
-        except (OSError, PermissionError):
+        except OSError:
             # The pool died under us (host revoked subprocess rights
             # mid-soak): drop it and degrade to the serial path rather
             # than failing the sweep.
@@ -133,17 +133,22 @@ class SweepRunner:
         self.used_workers = width
         return results
 
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
+    def _ensure_pool(self):
         """The shared pool, created on first pooled map and reused.
 
         Returns ``None`` where subprocess pools are unavailable (some
-        sandboxes block the semaphores ``ProcessPoolExecutor`` needs) —
-        the decision is remembered, so a soak probes the host once.
+        sandboxes block the semaphores ``ProcessPoolExecutor`` needs, or
+        lack ``multiprocessing.synchronize``, and the pool raises
+        ``NotImplementedError``) — the decision is remembered, so a soak
+        probes the host once.  The pool's module is imported here, so a
+        run that never fans out never loads ``multiprocessing``.
         """
         if self._pool is None and not self._pool_unavailable:
+            from concurrent.futures import ProcessPoolExecutor
+
             try:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            except (OSError, PermissionError):
+            except (OSError, NotImplementedError):
                 self._pool_unavailable = True
         return self._pool
 

@@ -6,31 +6,3 @@ LASER's analyses depend on: byte-granular loads and stores of 1-8 bytes,
 atomic read-modify-writes, fences, and branches (so control-flow analysis
 and flush placement are non-trivial).
 """
-
-from repro.isa.instructions import (
-    Instruction,
-    Opcode,
-    Operand,
-    imm,
-    reg,
-    NUM_REGISTERS,
-)
-from repro.isa.program import Program, SourceLocation, ThreadCode
-from repro.isa.assembler import Assembler
-from repro.isa.cfg import BasicBlock, ControlFlowGraph, build_cfg
-
-__all__ = [
-    "Instruction",
-    "Opcode",
-    "Operand",
-    "imm",
-    "reg",
-    "NUM_REGISTERS",
-    "Program",
-    "SourceLocation",
-    "ThreadCode",
-    "Assembler",
-    "BasicBlock",
-    "ControlFlowGraph",
-    "build_cfg",
-]

@@ -7,31 +7,3 @@ layout decisions create false sharing exactly as glibc malloc does, a
 MESI coherence directory that generates HITM events, an HTM model, and
 the multicore interpreter itself.
 """
-
-from repro.sim.memory import Memory
-from repro.sim.vmmap import Region, RegionKind, VirtualMemoryMap, default_memory_map
-from repro.sim.allocator import Allocator
-from repro.sim.cache import LineState
-from repro.sim.coherence import AccessResult, CoherenceDirectory
-from repro.sim.timing import LatencyModel
-from repro.sim.htm import HardwareTransactionalMemory
-from repro.sim.machine import Machine, RunResult
-from repro.sim.core import Core, CoreState
-
-__all__ = [
-    "Memory",
-    "Region",
-    "RegionKind",
-    "VirtualMemoryMap",
-    "default_memory_map",
-    "Allocator",
-    "LineState",
-    "AccessResult",
-    "CoherenceDirectory",
-    "LatencyModel",
-    "HardwareTransactionalMemory",
-    "Machine",
-    "RunResult",
-    "Core",
-    "CoreState",
-]

@@ -11,26 +11,13 @@ a *remote* cache (Figure 1a for loads, Figure 1c for stores).  The
 directory reports these to the machine, which forwards them to the PMU.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro._constants import CACHE_LINE_SIZE, NUM_CORES
 from repro.sim.cache import LineState
 from repro.sim.timing import LatencyModel
 
-__all__ = ["AccessResult", "CoherenceDirectory"]
-
-
-class AccessResult:
-    """Outcome of one memory access through the coherence model."""
-
-    __slots__ = ("latency", "hitm", "hitm_remote_core", "lines_touched")
-
-    def __init__(self, latency: int, hitm: bool, hitm_remote_core: Optional[int],
-                 lines_touched: int):
-        self.latency = latency
-        self.hitm = hitm
-        self.hitm_remote_core = hitm_remote_core
-        self.lines_touched = lines_touched
+__all__ = ["CoherenceDirectory"]
 
 
 class CoherenceDirectory:
@@ -50,51 +37,41 @@ class CoherenceDirectory:
         #: Current global cycle; the machine updates this before accesses.
         self.now = 0
         self.hitm_count = 0
-        self.load_hitm_count = 0
-        self.store_hitm_count = 0
-        self.serialization_stall_cycles = 0
 
     # ------------------------------------------------------------------
     # Access protocol
     # ------------------------------------------------------------------
 
-    def access(self, core: int, addr: int, size: int, is_write: bool) -> AccessResult:
-        """Perform a coherent access; returns latency and HITM info.
+    def access(self, core: int, addr: int, size: int,
+               is_write: bool) -> Tuple[int, bool]:
+        """Perform a coherent access; returns ``(latency, hitm)``.
 
         Accesses that straddle a cache-line boundary touch each line in
-        turn (as split accesses do on x86).
+        turn (as split accesses do on x86); ``hitm`` is true if any of
+        them found the line Modified in a remote cache.
         """
         first_line = addr // CACHE_LINE_SIZE
         last_line = (addr + size - 1) // CACHE_LINE_SIZE
         total_latency = 0
         hitm = False
-        hitm_remote = None
         for line in range(first_line, last_line + 1):
-            latency, remote = self._access_line(core, line, is_write)
+            latency, line_hitm = self._access_line(core, line, is_write)
             if latency > self.latency.l1_hit:
                 # A coherence transition: serialize behind any transition
                 # already in flight on this line.
                 busy_until = self._line_busy_until.get(line, 0)
                 if busy_until > self.now:
-                    stall = busy_until - self.now
-                    latency += stall
-                    self.serialization_stall_cycles += stall
+                    latency += busy_until - self.now
                 self._line_busy_until[line] = self.now + latency
             total_latency += latency
-            if remote is not None:
+            if line_hitm:
                 hitm = True
-                hitm_remote = remote
         if hitm:
             self.hitm_count += 1
-            if is_write:
-                self.store_hitm_count += 1
-            else:
-                self.load_hitm_count += 1
-        return AccessResult(total_latency, hitm, hitm_remote,
-                            last_line - first_line + 1)
+        return total_latency, hitm
 
     def _access_line(self, core: int, line: int, is_write: bool):
-        """MESI transition for one line; returns (latency, hitm_remote_core)."""
+        """MESI transition for one line; returns (latency, hitm)."""
         states = self._lines.get(line)
         if states is None:
             states = {}
@@ -104,43 +81,43 @@ class CoherenceDirectory:
 
         if not is_write:
             if mine is not LineState.INVALID:
-                return lat.l1_hit, None
+                return lat.l1_hit, False
             modified_owner = self._modified_holder(states, exclude=core)
             if modified_owner is not None:
                 # HITM: remote M line is written back and both end Shared.
                 states[modified_owner] = LineState.SHARED
                 states[core] = LineState.SHARED
-                return lat.hitm, modified_owner
+                return lat.hitm, True
             if states:
                 # Clean copy supplied by a sharer; E holders downgrade.
                 for holder, st in list(states.items()):
                     if st is LineState.EXCLUSIVE:
                         states[holder] = LineState.SHARED
                 states[core] = LineState.SHARED
-                return lat.shared_fill, None
+                return lat.shared_fill, False
             states[core] = LineState.EXCLUSIVE
-            return lat.memory, None
+            return lat.memory, False
 
         # Write path.
         if mine is LineState.MODIFIED:
-            return lat.l1_hit, None
+            return lat.l1_hit, False
         if mine is LineState.EXCLUSIVE:
             states[core] = LineState.MODIFIED
-            return lat.l1_hit, None
+            return lat.l1_hit, False
         modified_owner = self._modified_holder(states, exclude=core)
         if modified_owner is not None:
             # HITM: dirty line transferred and remote copy invalidated.
             del states[modified_owner]
             states.clear()
             states[core] = LineState.MODIFIED
-            return lat.hitm, modified_owner
+            return lat.hitm, True
         if mine is LineState.SHARED or states:
             # Upgrade / invalidation round over the sharers.
             states.clear()
             states[core] = LineState.MODIFIED
-            return lat.upgrade, None
+            return lat.upgrade, False
         states[core] = LineState.MODIFIED
-        return lat.memory, None
+        return lat.memory, False
 
     @staticmethod
     def _modified_holder(states: Dict[int, LineState], exclude: int) -> Optional[int]:
@@ -158,9 +135,6 @@ class CoherenceDirectory:
         if not states:
             return LineState.INVALID
         return states.get(core, LineState.INVALID)
-
-    def holders_of_line(self, line: int) -> Dict[int, LineState]:
-        return dict(self._lines.get(line, {}))
 
     def check_invariants(self) -> List[str]:
         """Return a list of MESI invariant violations (empty if healthy)."""

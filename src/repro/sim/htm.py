@@ -86,8 +86,7 @@ class HardwareTransactionalMemory:
             )
         latency = 0
         for addr, value, size in writes:
-            result = self.directory.access(core, addr, size, is_write=True)
-            latency += result.latency
+            latency += self.directory.access(core, addr, size, is_write=True)[0]
             self.memory.write(addr, value, size)
         self.commits += 1
         if traced:

@@ -50,8 +50,6 @@ class RunResult:
         self.cycles = cycles
         self.finished = finished
         self.hitm_count = machine.directory.hitm_count
-        self.load_hitm_count = machine.directory.load_hitm_count
-        self.store_hitm_count = machine.directory.store_hitm_count
         self.instructions = sum(core.stats.instructions
                                 for core in machine.cores)
 
@@ -101,9 +99,6 @@ class Machine:
         self.vmmap = default_memory_map(program.num_threads, program.code_end)
         self.allocator = allocator or Allocator(base_offset=heap_offset)
         self.directory = CoherenceDirectory(self.latency, num_cores=num_cores)
-        #: Optional :class:`repro.faults.FaultInjector` shared by the
-        #: fault-hosting components of this machine (currently the HTM).
-        self.fault_injector = fault_injector
         #: Structured event tracer (``repro.obs.trace``); the shared
         #: NULL_TRACER when observability is off, so instrumentation
         #: sites can test ``tracer.enabled`` unconditionally.
@@ -156,9 +151,9 @@ class Machine:
     def mem_read(self, core: Core, inst, addr: int, size: int):
         """Coherent read; returns (value, latency)."""
         self.directory.now = self.cycle
-        result = self.directory.access(core.core_id, addr, size, is_write=False)
-        latency = result.latency
-        if result.hitm:
+        latency, hitm = self.directory.access(core.core_id, addr, size,
+                                              is_write=False)
+        if hitm:
             latency += self._fire_hitm(core, inst, addr, is_write=False)
         if self.on_memory_op is not None:
             latency += self._fire_memop(core, inst)
@@ -168,9 +163,9 @@ class Machine:
     def mem_write(self, core: Core, inst, addr: int, value: int, size: int) -> int:
         """Coherent write; returns latency."""
         self.directory.now = self.cycle
-        result = self.directory.access(core.core_id, addr, size, is_write=True)
-        latency = result.latency
-        if result.hitm:
+        latency, hitm = self.directory.access(core.core_id, addr, size,
+                                              is_write=True)
+        if hitm:
             latency += self._fire_hitm(core, inst, addr, is_write=True)
         if self.on_memory_op is not None:
             latency += self._fire_memop(core, inst)
@@ -303,15 +298,16 @@ class Machine:
           burst (compiled blocks touch only local state and L1 hits), so
           the other cores' ready times stay valid throughout.
         * Bursts pick one of two compiled shapes by horizon: block
-          functions amortize their prologue/stats-flush over long
-          straight-line runs (serial phases), while single-instruction
-          *micro* functions with a minimal calling convention serve the
-          1–2 instruction horizons of lock-step parallel phases.  A
-          micro fast path counts itself per pc in its trace; the traces
-          add their counts into CoreStats at every slice exit, error
-          unwinds included (sums commute, and nothing reads core stats
-          inside a slice).  Micro entries of HALT and of the end of the
-          stream return -1, which hands the core to the reference pop.
+          functions amortize their prologue over long straight-line
+          runs (serial phases), while single-instruction *micro*
+          functions with a minimal calling convention serve the 1–2
+          instruction horizons of lock-step parallel phases.  Both
+          count each instruction they run per pc in the core's trace;
+          the traces add their counts into CoreStats at every slice
+          exit, error unwinds included (sums commute, and nothing reads
+          core stats inside a slice).  Micro entries of HALT and of the
+          end of the stream return -1, which hands the core to the
+          reference pop.
         * A core picked in a spin-wait parks when
           ``CompiledTrace.park`` allows it.  A parked pick runs the
           loop inline while ``t <= lb``: each instruction bumps its
@@ -431,7 +427,7 @@ class Machine:
                 while True:
                     if lflags[pc2] and lb - t2 >= 4:
                         pc3, t3 = table[pc2](core, regs, t2, lb, jit, dl,
-                                             pages, self)
+                                             pages, self, cnt)
                         if t3 != t2:
                             pc2, t2 = pc3, t3
                             if t2 > lb:

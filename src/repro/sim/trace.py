@@ -11,7 +11,7 @@ whether an SSB is attached).
 **One template per opcode.**  ``_TEMPLATES`` maps each compilable
 opcode (MOV, the ALU ops, SHL/SHR, the four conditional branches, JMP,
 PAUSE, NOP, LOAD, STORE, ADDM) to a function of one instruction that
-returns its compiled semantics as a ``_Template`` of four parts:
+returns its compiled semantics as a ``_Template`` of three parts:
 
 * *guards*: ``(setup, condition)`` pairs whose conditions together say
   an L1 hit is legal: no ``on_memory_op`` hook, no line straddle, and a
@@ -19,9 +19,14 @@ returns its compiled semantics as a ``_Template`` of four parts:
 * *body*: the statements that execute the instruction once every guard
   holds (inline hits stamp ``directory.now``, as the interpreter's
   ``mem_read``/``mem_write`` do on every access);
-* *latency* in cycles, pin tax excluded;
 * *branch*: ``(condition, target)``, the condition ``None`` for an
   unconditional jump, or ``None`` for plain fallthrough.
+
+An instruction's latency depends on its opcode alone (``_latency``:
+compiled memory ops are L1 hits), so a trace computes every templated
+pc's *weight*, latency plus pin tax, once as it is built.  Compiled
+code adds the weight to the core's time, and ``flush_counts`` to
+``busy_cycles``.
 
 **Two renderers** turn templates into code.  ``_render_block`` compiles
 the extended basic block at a leader into one loop: a failed guard
@@ -30,11 +35,12 @@ becomes ``continue``.  ``_render_micro`` compiles one instruction: its
 guards nest, and when one fails control falls through to an exact
 ``core.step()`` tail.  That tail alone is the micro function of every
 opcode without a template (DIV, atomics, fences, SSB pseudo-ops,
-ALIAS_CHECK), so micro functions run slow instructions themselves.  A
-micro fast path does not touch CoreStats: it bumps its pc's slot of the
-trace's ``counts`` list, and the trace adds the counts into CoreStats'
-``instructions`` and ``busy_cycles`` (``flush_counts``) when the
-scheduler leaves the slice.
+ALIAS_CHECK), so micro functions run slow instructions themselves.
+Compiled code does not touch CoreStats: a block, like a micro fast path,
+bumps each instruction's slot of the trace's ``counts`` list as it runs
+it.  Only ``Core.step`` and the trace's ``flush_counts``, which adds the
+counts and their weights in when the scheduler leaves the slice, write
+CoreStats' ``instructions`` and ``busy_cycles``.
 
 **Tables with no holes.**  Every entry of a trace's block and micro
 tables is callable: a stub compiles the real function on first call
@@ -43,10 +49,11 @@ the call.  HALT's micro entry and one extra entry past the end of the
 stream return -1, which sends the core to the scheduler's pop.
 
 **Spin-waits.**  ``CompiledTrace`` also finds each ``load; bcc out;
-pause; jmp load`` loop and sets its four pcs' weights, with no code:
-the scheduler parks a core in such a loop while the core holds the
-flag's line (``CompiledTrace.park``), and runs the loop's instructions
-itself (see ``Machine._run_slice_traced``).
+pause; jmp load`` loop, and compiles nothing for it: the scheduler
+parks a core in such a loop while the core holds the flag's line
+(``CompiledTrace.spins``, ``CompiledTrace.park``), and runs the loop's
+instructions itself, counting them and adding their weights (see
+``Machine._run_slice_traced``).
 
 **One jitter stream.**  Every instruction draws its interleave jitter
 by calling ``jit()``, the machine's ``binary_draws`` stream: the draws
@@ -114,7 +121,6 @@ class _Latency(NamedTuple):
 class _Template(NamedTuple):
     """One instruction's compiled semantics (see the module docstring)."""
 
-    latency: int
     guards: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()
     body: Tuple[str, ...] = ()
     branch: Optional[Tuple[Optional[str], int]] = None
@@ -136,40 +142,37 @@ def _addr(inst: Instruction) -> str:
     return "regs[%d]" % inst.a.value
 
 
-def _mov(inst: Instruction, lat: _Latency) -> _Template:
+def _mov(inst: Instruction) -> _Template:
     if inst.a.is_reg:
         src = "regs[%d] & %d" % (inst.a.value, _WORD_MASK)
     else:
         src = "%d" % (inst.a.value & _WORD_MASK)
-    return _Template(lat.alu, body=("regs[%d] = %s" % (inst.rd, src),))
+    return _Template(body=("regs[%d] = %s" % (inst.rd, src),))
 
 
-def _alu(symbol: str, inst: Instruction, lat: _Latency) -> _Template:
+def _alu(symbol: str, inst: Instruction) -> _Template:
     b = inst.b
     if symbol in ("<<", ">>"):
         # Shift counts wrap at the word size, as in the interpreter.
         count = "(regs[%d] & 63)" % b.value if b.is_reg else "%d" % (b.value & 63)
     else:
         count = _val(b)
-    return _Template(lat.alu, body=("regs[%d] = (%s %s %s) & %d" % (
+    return _Template(body=("regs[%d] = (%s %s %s) & %d" % (
         inst.rd, _val(inst.a), symbol, count, _WORD_MASK),))
 
 
-def _branch(symbol: str, inst: Instruction, lat: _Latency) -> _Template:
+def _branch(symbol: str, inst: Instruction) -> _Template:
     cond = "%s %s %s" % (_val(inst.a), symbol, _val(inst.b))
-    return _Template(lat.alu, branch=(cond, inst.target))
+    return _Template(branch=(cond, inst.target))
 
 
-def _jmp(inst: Instruction, lat: _Latency) -> _Template:
-    return _Template(lat.alu, branch=(None, inst.target))
+def _jmp(inst: Instruction) -> _Template:
+    return _Template(branch=(None, inst.target))
 
 
-def _pause(inst: Instruction, lat: _Latency) -> _Template:
-    return _Template(lat.pause)
-
-
-def _nop(inst: Instruction, lat: _Latency) -> _Template:
-    return _Template(lat.alu)
+def _no_op(inst: Instruction) -> _Template:
+    """PAUSE and NOP: nothing but their latency."""
+    return _Template()
 
 
 def _mem_guards(inst: Instruction, state_setup: str, state_hit: str):
@@ -180,12 +183,11 @@ def _mem_guards(inst: Instruction, state_setup: str, state_hit: str):
             (state_setup, state_hit))
 
 
-def _load(inst: Instruction, lat: _Latency) -> _Template:
+def _load(inst: Instruction) -> _Template:
     # A read hits in any non-Invalid state; the directory never stores
     # Invalid explicitly, so membership is the whole test, and a hit
     # causes no MESI transition.
     return _Template(
-        lat.l1,
         guards=_mem_guards(inst, "_s = dl.get(a0 >> 6)",
                            "_s is not None and cid in _s"),
         body=(_STAMP, "_pg = pages.get(a0 >> 12)", "o = a0 & 4095",
@@ -194,10 +196,9 @@ def _load(inst: Instruction, lat: _Latency) -> _Template:
     )
 
 
-def _write_hit(inst: Instruction, latency: int, data: str) -> _Template:
+def _write_hit(inst: Instruction, data: str) -> _Template:
     """A write hits in M, or in E with a silent E->M upgrade."""
     return _Template(
-        latency,
         guards=_mem_guards(
             inst,
             "_s = dl.get(a0 >> 6); _w = _s.get(cid) if _s is not None else None",
@@ -209,23 +210,23 @@ def _write_hit(inst: Instruction, latency: int, data: str) -> _Template:
     )
 
 
-def _store(inst: Instruction, lat: _Latency) -> _Template:
+def _store(inst: Instruction) -> _Template:
     size, b = inst.size, inst.b
     mask = (1 << (8 * size)) - 1
     if b.is_reg:
         data = "(regs[%d] & %d).to_bytes(%d, 'little')" % (b.value, mask, size)
     else:
         data = repr((b.value & mask).to_bytes(size, "little"))
-    return _write_hit(inst, lat.l1, data)
+    return _write_hit(inst, data)
 
 
-def _addm(inst: Instruction, lat: _Latency) -> _Template:
+def _addm(inst: Instruction) -> _Template:
     # A plain load+store pair at one PC: the read is an L1 hit in M or
-    # E, the write upgrades E->M, both at l1_hit latency.
+    # E, the write upgrades E->M.
     size = inst.size
     data = "((fb(_pg[o:o + %d], 'little') + %s) & %d).to_bytes(%d, 'little')" % (
         size, _val(inst.b), (1 << (8 * size)) - 1, size)
-    return _write_hit(inst, 2 * lat.l1 + lat.alu, data)
+    return _write_hit(inst, data)
 
 
 #: The template table: opcode -> (template, operands it needs).  An
@@ -247,16 +248,29 @@ _TEMPLATES = {
     Opcode.BLT: (partial(_branch, "<"), ("a", "b", "target")),
     Opcode.BGE: (partial(_branch, ">="), ("a", "b", "target")),
     Opcode.JMP: (_jmp, ("target",)),
-    Opcode.PAUSE: (_pause, ()),
-    Opcode.NOP: (_nop, ()),
+    Opcode.PAUSE: (_no_op, ()),
+    Opcode.NOP: (_no_op, ()),
     Opcode.LOAD: (_load, ("rd", "a", "size")),
     Opcode.STORE: (_store, ("a", "b", "size")),
     Opcode.ADDM: (_addm, ("a", "b", "size")),
 }
 
 
-def _template(inst: Instruction, lat: _Latency) -> _Template:
-    return _TEMPLATES[inst.op][0](inst, lat)
+def _template(inst: Instruction) -> _Template:
+    return _TEMPLATES[inst.op][0](inst)
+
+
+def _latency(op: Opcode, lat: _Latency) -> int:
+    """Cycles of one compiled instruction, pin tax excluded.
+
+    Compiled memory ops are L1 hits, so the opcode alone decides.
+    """
+    if op is Opcode.LOAD or op is Opcode.STORE:
+        return lat.l1
+    if op is Opcode.ADDM:
+        # The read and the write of the RMW, plus its add.
+        return 2 * lat.l1 + lat.alu
+    return lat.pause if op is Opcode.PAUSE else lat.alu
 
 
 def _includable(inst: Instruction, fast_mem: bool) -> bool:
@@ -317,28 +331,29 @@ def _inst_sig(inst: Instruction) -> tuple:
 
 
 def _render_block(insts: List[Instruction], entry: int, window: List[int],
-                  lat: _Latency, tax: int, use_jitter: bool) -> str:
+                  weights: List[int], use_jitter: bool) -> str:
     """Source of the block function for the window starting at ``entry``.
 
-    The signature is ``_f(core, regs, t, lb, jit, dl, pages, mach)``:
-    core, its register list, the current cycle, the burst bound, the
-    machine's jitter draw, the coherence directory's
-    line->states dict, the sparse page dict, and the machine.  It
-    returns ``(next_pc_index, time)``.
+    The signature is ``_f(core, regs, t, lb, jit, dl, pages, mach,
+    cnt)``: core, its register list, the current cycle, the burst
+    bound, the machine's jitter draw, the coherence directory's
+    line->states dict, the sparse page dict, the machine, and the per-pc
+    counts of the caller's trace (an argument, because block functions
+    are shared across traces).  It returns ``(next_pc_index, time)``.
 
     Instruction ``i`` runs only while ``t <= lb``, the same ``time >
-    limit`` gate the event loop applies before each step.  Every stop
-    sets ``ret`` (the pc to resume at) and ``break``s to one shared
-    stats-flush epilogue; keeping each exit to two statements is what
-    makes the generated sources small enough to compile cheaply.
+    limit`` gate the event loop applies before each step, and adds its
+    weight to ``t`` and one to ``cnt[i]``.  Every stop is one
+    ``return``, which keeps the generated sources small enough to
+    compile cheaply.
     """
-    tpls = [(i, _template(insts[i], lat)) for i in window]
-    lines = ["def _f(core, regs, t, lb, jit, dl, pages, mach):"]
+    tpls = [(i, _template(insts[i])) for i in window]
+    lines = ["def _f(core, regs, t, lb, jit, dl, pages, mach, cnt):"]
     if any(tpl.guards for _, tpl in tpls):
         lines.append("    cid = core.core_id")
-    lines += ["    n = 0; bc = 0", "    while True:"]
+    lines.append("    while True:")
     for i, tpl in tpls:
-        stop = "ret = %d; break" % i
+        stop = "return %d, t" % i
         code = ["if t > lb: " + stop]
         for setup, cond in tpl.guards:
             if setup:
@@ -346,19 +361,16 @@ def _render_block(insts: List[Instruction], entry: int, window: List[int],
             if cond:
                 code.append("if not (%s): %s" % (cond, stop))
         code += tpl.body
-        cost = tpl.latency + tax
-        code.append("t += %d%s; bc += %d; n += 1" % (
-            cost, _JITTER if use_jitter else "", cost))
+        code.append("t += %d%s; cnt[%d] += 1" % (
+            weights[i], _JITTER if use_jitter else "", i))
         if tpl.branch is not None:
             cond, target = tpl.branch
-            go = "continue" if target == entry else "ret = %d; break" % target
+            go = "continue" if target == entry else "return %d, t" % target
             code.append(go if cond is None else "if %s: %s" % (cond, go))
         lines += ["        " + line for line in code]
     last = tpls[-1][1].branch
     if last is None or last[0] is not None:
-        lines.append("        ret = %d; break" % (window[-1] + 1))
-    lines += ["    st = core.stats; st.instructions += n; st.busy_cycles += bc",
-              "    return ret, t"]
+        lines.append("        return %d, t" % (window[-1] + 1))
     return "\n".join(lines)
 
 
@@ -385,24 +397,22 @@ def _step_tail(i: int, use_jitter: bool) -> Tuple[str, ...]:
     return head + ("return ((t + (L if L > 0 else 1)) << 21) | core.pc_index",)
 
 
-def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
-                  tax: int, use_jitter: bool) -> str:
+def _render_micro(inst: Optional[Instruction], i: int, cost: int,
+                  use_jitter: bool) -> str:
     """Source of the micro function for instruction ``i``.
 
     The signature is ``_f(regs, t, jit, core, dl, pages, cnt)``; it
     returns ``(time << 21) | next_pc``.  Unlike block functions there is
-    no loop, no burst-bound check and no stats flush: the caller
-    guarantees the instruction's time is within the burst bound, and
-    the fast path only bumps ``cnt[i]``, its slot of the per-pc counts
-    of the caller's trace (an argument, because micro functions are
-    shared across traces).  So a one-instruction step costs a fraction
-    of a block call.  ``inst`` is ``None`` for an opcode without a
-    template, whose micro function is the exact ``core.step()`` tail
-    alone.
+    no loop and no burst-bound check: the caller guarantees the
+    instruction's time is within the burst bound, and the fast path
+    adds ``cost`` (the pc's weight) to ``t`` and bumps ``cnt[i]``, as a
+    block does.  So a one-instruction step costs a fraction of a block
+    call.  ``inst`` is ``None`` for an opcode without a template, whose
+    micro function is the exact ``core.step()`` tail alone.
     """
     lines = ["def _f(regs, t, jit, core, dl, pages, cnt):"]
     if inst is not None:
-        tpl = _template(inst, lat)
+        tpl = _template(inst)
         ind = "    "
         if tpl.guards:
             lines.append(ind + "mach = core.machine; cid = core.core_id")
@@ -413,7 +423,6 @@ def _render_micro(inst: Optional[Instruction], i: int, lat: _Latency,
                 lines.append(ind + "if %s:" % cond)
                 ind += "    "
         code = list(tpl.body) + ["cnt[%d] += 1" % i]
-        cost = tpl.latency + tax
         nxt = i + 1
         if tpl.branch is not None:
             cond, target = tpl.branch
@@ -486,12 +495,12 @@ class CompiledTrace:
     ``i``, and ``micro[len(insts)]`` is the end of the stream.  Entries
     start as stubs and compile on first call, because mid-block
     re-entry (after an interleave or a bail) is the common case in
-    parallel phases, not the exception.  ``counts[i]`` is how often the
-    micro fast path or a parked spin-wait ran instruction ``i`` since
-    the last ``flush_counts``.  ``spins[i]`` parks a core in the
-    spin-wait that pc ``i`` belongs to (``park`` bound to its LOAD's pc;
-    ``None`` elsewhere, and ``spins`` itself is ``None`` when the stream
-    has no spin-wait).
+    parallel phases, not the exception.  ``counts[i]`` is how often
+    compiled code (a block, a micro fast path or a parked spin-wait) ran
+    instruction ``i`` since the last ``flush_counts``.  ``spins[i]``
+    parks a core in the spin-wait that pc ``i`` belongs to (``park``
+    bound to its LOAD's pc; ``None`` elsewhere, and ``spins`` itself is
+    ``None`` when the stream has no spin-wait).
     """
 
     __slots__ = ("insts", "table", "micro", "leaders", "counts", "spins",
@@ -502,8 +511,9 @@ class CompiledTrace:
                  use_jitter: bool, fast_mem: bool):
         self.insts = insts
         n = len(insts)
-        self._lat = _Latency(latency.alu, latency.l1_hit, latency.pause)
-        self._tax = latency.pin_tax if taxed else 0
+        lat = self._lat = _Latency(latency.alu, latency.l1_hit,
+                                   latency.pause)
+        tax = self._tax = latency.pin_tax if taxed else 0
         self._use_jitter = use_jitter
         self._fast_mem = fast_mem
         # Basic-block leaders: the only entries worth a block function.
@@ -516,11 +526,17 @@ class CompiledTrace:
         flags = bytearray(n + 1)
         if insts:
             flags[0] = 1
+        # What one compiled run of each pc adds to CoreStats'
+        # ``busy_cycles``: its latency plus pin tax.  A pc with no
+        # template keeps 0; its runs go through ``Core.step``.
+        weights = self._weights = [0] * n
         for i, inst in enumerate(insts):
             if inst.op in BRANCH_OPS:
                 if isinstance(inst.target, int) and 0 <= inst.target < n:
                     flags[inst.target] = 1
-            if not _includable(inst, fast_mem) and i + 1 < n:
+            if _includable(inst, fast_mem):
+                weights[i] = _latency(inst.op, lat) + tax
+            elif i + 1 < n:
                 # Resume point after an interpreter-executed slow op.
                 flags[i + 1] = 1
         self.leaders = flags
@@ -530,10 +546,6 @@ class CompiledTrace:
         self.micro: List = [self._micro_stub(i) if fits else _to_pop
                             for i in range(n)] + [_to_pop]
         self.counts = [0] * n
-        # What one fast-path run of each pc adds to CoreStats'
-        # ``busy_cycles`` (set as the pc compiles, or here for the pcs
-        # of a spin-wait, which a parked core runs without compiling).
-        self._weights = [0] * n
         self.spins = None
         # The pc after each pc of a spin-wait: its JMP goes to its LOAD.
         self._after = list(range(1, n + 1))
@@ -543,9 +555,6 @@ class CompiledTrace:
                     self.spins = [None] * (n + 1)
                 self._after[s + 3] = s
                 self.spins[s:s + 4] = [partial(self.park, s)] * 4
-                for i in range(s, s + 4):
-                    self._weights[i] = (_template(insts[i], self._lat).latency
-                                        + self._tax)
 
     def _block_stub(self, entry: int):
         def stub(core, regs, t, *rest):
@@ -573,8 +582,7 @@ class CompiledTrace:
             key = (entry, self._tax, self._use_jitter, self._lat,
                    tuple(_inst_sig(insts[i]) for i in window))
             fn = _compile(key, "<trace-block>", _render_block, insts,
-                          entry, window, self._lat, self._tax,
-                          self._use_jitter)
+                          entry, window, self._weights, self._use_jitter)
         else:
             self.leaders[entry] = 0
         self.table[entry] = fn
@@ -592,18 +600,16 @@ class CompiledTrace:
         if inst.op is Opcode.HALT:
             fn = _to_pop
         elif _includable(inst, self._fast_mem):
-            self._weights[i] = _template(inst, self._lat).latency + self._tax
             key = ("m", i, self._tax, self._use_jitter, self._lat,
                    _inst_sig(inst))
             fn = _compile(key, "<trace-micro>", _render_micro, inst, i,
-                          self._lat, self._tax, self._use_jitter)
+                          self._weights[i], self._use_jitter)
         else:
             # Interpreter-exact micro: the source depends only on the
             # index and jitter flag, so one cache entry serves every
             # slow opcode at this index across traces and tax variants.
             fn = _compile(("ms", i, self._use_jitter), "<trace-micro>",
-                          _render_micro, None, i, self._lat, 0,
-                          self._use_jitter)
+                          _render_micro, None, i, 0, self._use_jitter)
         self.micro[i] = fn
         return fn
 

@@ -25,73 +25,3 @@ certificate for a bundled workload (nonzero exit if unsafe);
 ``python -m repro.static.racecheck`` certifies the whole registry
 against the committed golden verdicts.
 """
-
-from repro.static.absint import (
-    Footprint,
-    ThreadValueAnalysis,
-    analyze_thread_values,
-    thread_entry_registers,
-)
-from repro.static.interval import StrideInterval
-from repro.static.lockset import (
-    ThreadLocksets,
-    analyze_locksets,
-    collect_lock_addresses,
-)
-from repro.static.mhp import (
-    HbEdge,
-    MhpAnalysis,
-    analyze_mhp,
-)
-from repro.static.predict import (
-    LineAccessCollection,
-    LinePrediction,
-    StaticAccess,
-    StaticLineReport,
-    StaticSharingReport,
-    collect_line_accesses,
-    predict_program,
-)
-from repro.static.race import (
-    LineCertificate,
-    LineVerdict,
-    PairEvidence,
-    SharingCertificate,
-    certify_built,
-    certify_program,
-)
-from repro.static.verify import (
-    VerificationResult,
-    Violation,
-    verify_rewrite,
-)
-
-__all__ = [
-    "StrideInterval",
-    "Footprint",
-    "ThreadValueAnalysis",
-    "analyze_thread_values",
-    "thread_entry_registers",
-    "ThreadLocksets",
-    "analyze_locksets",
-    "collect_lock_addresses",
-    "StaticAccess",
-    "LineAccessCollection",
-    "LinePrediction",
-    "StaticLineReport",
-    "StaticSharingReport",
-    "collect_line_accesses",
-    "predict_program",
-    "Violation",
-    "VerificationResult",
-    "verify_rewrite",
-    "HbEdge",
-    "MhpAnalysis",
-    "analyze_mhp",
-    "LineVerdict",
-    "PairEvidence",
-    "LineCertificate",
-    "SharingCertificate",
-    "certify_program",
-    "certify_built",
-]

@@ -27,11 +27,10 @@ here is shorthand for *thread-local or read-only*.
 
 The result is a :class:`SharingCertificate`: serializable, deterministic
 for a given built workload, carrying per-(pc, line) evidence for every
-verdict.  The runtime consults it in two places (both opt-in via
-``LaserConfig``): the repair service refuses to SSB-rewrite source
-locations certified ``RACE`` (repairing a racy line would paper over a
-correctness bug), and the detector's record filter can prioritize
-certificate-flagged lines.
+verdict.  The runtime consults it in one place, opt-in via
+``LaserConfig.race_gate``: the repair service refuses to SSB-rewrite
+source locations certified ``RACE`` (repairing a racy line would paper
+over a correctness bug).  Only such a run imports this module.
 
 Like every must-analysis here, the certifier is conservative toward
 ``RACE``: happens-before edges it cannot prove are simply absent, so

@@ -23,9 +23,10 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import islice
+from operator import eq, ge, lt, ne
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -86,24 +87,37 @@ def test_engine_resolution_rejects_unknown_names(monkeypatch):
         resolve_sim_engine("auto")
 
 
+#: Modules a default monitored run never executes, so never imports:
+#: numpy (one scalar record plane), the sweep's process pool, and the
+#: race certifier with the analyses only it uses (``race_gate`` is off).
+_UNUSED_BY_A_RUN = ("numpy", "multiprocessing", "concurrent.futures.process",
+                    "repro.static.race", "repro.static.mhp",
+                    "repro.static.predict", "repro.static.lockset")
+
+
 def test_a_monitored_run_imports_no_numpy():
-    """One scalar record plane: no run loads numpy, installed or not."""
+    """A run imports only what it uses, numpy included, installed or not.
+
+    The fresh interpreter imports what perfbench's set-up imports, then
+    runs one monitored workload.
+    """
     code = (
         "import sys\n"
-        "import repro\n"
+        "import repro.core, repro.experiments.accuracy\n"
+        "import repro.experiments.runner, repro.faults, repro.workloads\n"
         "from repro.core import Laser, LaserConfig\n"
         "from repro.workloads import get_workload\n"
         "result = Laser(LaserConfig()).run_workload(\n"
         "    get_workload(\"histogram'\"), scale=0.25)\n"
         "assert result.pipeline.stats.records_seen > 0\n"
-        "print('numpy' in sys.modules)\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", code],
+    out = subprocess.run([sys.executable, "-c", code, *_UNUSED_BY_A_RUN],
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +310,25 @@ _ssb_slow_kinds = st.sampled_from(("xadd", "fence", "div", "ssb_store",
                                    "ssb_store", "ssb_store", "ssb_flush"))
 _item_kinds = st.sampled_from(("simple", "memory", "memory", "slow",
                                "branch", "loop", "spin", "signal"))
-#: A spin-wait's exit: mostly once its flag turns nonzero, sometimes
-#: on a test that may already hold at entry, or never.
+#: The item kinds of a thread that may not spin-wait.
+_no_spin_kinds = st.sampled_from(("simple", "memory", "memory", "slow",
+                                  "branch", "loop", "signal"))
+#: A spin-wait's exit test, ``passes(flag, value)``, by branch op.
+_PASSES = {"beq": eq, "bne": ne, "blt": lt, "bge": ge}
+#: Every exit ``(branch op, value)`` that some flag value 0-4 passes.
+_ALL_EXITS = [(op, value) for op in _BRANCH_OPS for value in range(4)
+              if any(_PASSES[op](flag, value) for flag in range(5))]
+#: The exit of a case's spin-waits: mostly once the flag turns nonzero,
+#: sometimes a test that may already hold at entry.
 _exits = st.sampled_from((("bne", 0), ("bne", 0), ("bge", 1), ("beq", 0),
-                          ("blt", 2))) | st.tuples(_branch_ops, _regs)
+                          ("blt", 2))) | st.sampled_from(_ALL_EXITS)
+#: For each exit, the flag values 0-4 that pass it: what a release
+#: stores.
+_releases = {exit: st.sampled_from([flag for flag in range(5)
+                                    if _PASSES[exit[0]](flag, exit[1])])
+             for exit in _ALL_EXITS}
+#: Another register than the one drawn, as an offset from it.
+_other_reg = st.integers(1, 7)
 _signal_kinds = st.sampled_from(("store", "addm", "xadd"))
 _signal_values = st.integers(1, 3) | _values
 #: Where a spin-wait is entered: its LOAD, or (jumped to) the branch,
@@ -313,15 +342,20 @@ class _Thread:
     """Assembler state while one generated thread is drawn.
 
     ``flag`` is the case's (offset from the shared base, size) of the
-    word its spin-waits wait on and its signals write.
+    word its spin-waits wait on and its signals write, and ``exit`` the
+    ``(branch op, value)`` test on which every spin-wait of the case
+    leaves.  ``spins`` counts the spin-waits drawn, or is ``None`` in a
+    thread that may not spin-wait.
     """
 
-    def __init__(self, draw, tid, lines, ssb, flag):
+    def __init__(self, draw, tid, lines, ssb, flag, exit, may_spin):
         self.draw = draw
         self.asm = Assembler("t%d" % tid)
         self.lines = lines
         self.ssb = ssb
         self.flag = flag
+        self.exit = exit
+        self.spins = 0 if may_spin else None
         self.labels = 0
         self.pending = []  # (top-level item index, forward label)
 
@@ -418,13 +452,17 @@ _loop_items = st.sampled_from((_emit_simple, _emit_memory, _emit_memory,
 def _emit_spin(th):
     """A ``load; bcc out; pause; jmp load`` wait on the case's flag.
 
-    The LOAD takes the flag through ``r8`` or an immediate address.  A
-    wait entered in its middle first reads the flag's line, so the core
-    may hold it, and sets the loaded register to a drawn value that may
-    disagree with memory.
+    The LOAD takes the flag through ``r8`` or an immediate address, and
+    the exit compares it with the case's value as an immediate or in
+    another register.  A wait entered in its middle first reads the
+    flag's line, so the core may hold it, and sets the loaded register
+    to a drawn value that may disagree with memory.  A later thread
+    stores a value the exit passes (``_cases``).
     """
     draw, asm = th.draw, th.asm
     off, size = th.flag
+    op, value = th.exit
+    th.spins += 1
     rd = draw(_regs)
     base = _SHARED if draw(_one_in_five) == 0 else "r8"
     top, out = th.label(), th.label()
@@ -433,11 +471,15 @@ def _emit_spin(th):
     if entry:
         asm.load(draw(_regs), "r8", offset=off & ~63, size=8)
         asm.mov(rd, draw(_sources))
+    if draw(st.booleans()):
+        other = "r%d" % ((int(rd[1:]) + draw(_other_reg)) % 8)
+        asm.mov(other, value)
+        value = other
+    if entry:
         asm.jmp(mids[entry - 1])
     asm.label(top)
     asm.load(rd, base, offset=off, size=size)
     asm.label(mids[0])
-    op, value = draw(_exits)
     getattr(asm, op)(rd, value, out)
     asm.label(mids[1])
     asm.pause()
@@ -464,18 +506,19 @@ def _emit_signal(th):
                            size=draw(_sizes))
 
 
-@st.composite
-def _threads(draw, tid, lines, ssb, flag):
-    th = _Thread(draw, tid, lines, ssb, flag)
+def _draw_thread(draw, tid, *args):
+    """One thread's items, every forward label placed, and no HALT."""
+    th = _Thread(draw, tid, *args)
     asm = th.asm
     asm.mov("r8", _SHARED)
     asm.mov("r9", _PRIVATE + tid * 0x10000)
     for _ in range(draw(st.integers(0, 4))):
         asm.mov(draw(_regs), draw(_values))
+    kinds = _no_spin_kinds if th.spins is None else _item_kinds
     for index in range(draw(st.integers(1, 8))):
         for label in [lb for at, lb in th.pending if at == index]:
             asm.label(label)
-        kind = draw(_item_kinds)
+        kind = draw(kinds)
         if kind == "branch":
             _emit_forward_branch(th, index)
         else:
@@ -484,8 +527,7 @@ def _threads(draw, tid, lines, ssb, flag):
              "signal": _emit_signal}[kind](th)
     for label in [lb for at, lb in th.pending if at > index]:
         asm.label(label)
-    asm.halt()
-    return asm.build()
+    return th
 
 
 class _Case:
@@ -503,14 +545,33 @@ class _Case:
 
 @st.composite
 def _cases(draw):
+    """A case whose every spin-wait has a release.
+
+    The last thread does not spin-wait.  For each spin-wait of thread
+    ``t``, a thread after ``t`` stores a value that passes the exit
+    after its last item, where every path through it goes.  Each thread
+    reaches its end, the last first, unless a write to the flag after
+    the release fails the exit again, or a division raises.
+    """
     lines = draw(st.integers(1, 3))
     ssb = draw(st.booleans())
     size = draw(_sizes)
     flag = (64 * draw(_line_of[lines]) + draw(_within[size]), size)
-    threads = [draw(_threads(tid, lines, ssb and tid == 0, flag))
-               for tid in range(draw(st.integers(1, 9)))]
+    exit = draw(_exits)
+    count = draw(st.integers(1, 9))
+    threads = [_draw_thread(draw, tid, lines, ssb and tid == 0, flag, exit,
+                            tid < count - 1)
+               for tid in range(count)]
+    for tid, th in enumerate(threads):
+        for _ in range(th.spins or 0):
+            releaser = threads[draw(st.integers(tid + 1, count - 1))]
+            releaser.asm.store("r8", draw(_releases[exit]), offset=flag[0],
+                               size=size)
+    for th in threads:
+        th.asm.halt()
     return _Case(
-        threads, ssb=ssb, jitter=draw(st.booleans()),
+        [th.asm.build() for th in threads], ssb=ssb,
+        jitter=draw(st.booleans()),
         traced=draw(_one_in_five) == 0,
         seed=draw(st.integers(0, 3)),
         hitm_stall=draw(st.sampled_from((0, 1, 40))),
@@ -540,9 +601,7 @@ def _machine_state(machine, result, log):
         "pages": {k: bytes(v) for k, v in machine.memory._pages.items()},
         "lines": {k: dict(v) for k, v in directory._lines.items()},
         "line_busy_until": dict(directory._line_busy_until),
-        "hitm": (directory.hitm_count, directory.load_hitm_count,
-                 directory.store_hitm_count,
-                 directory.serialization_stall_cycles),
+        "hitm": directory.hitm_count,
         "directory_now": directory.now,
         "htm": (machine.htm.commits, machine.htm.aborts),
         "ssb": None if ssb is None else (
@@ -594,7 +653,15 @@ def _run_case(case, engine, tracer=None):
 
 
 def _events(tracer):
-    return [event.as_dict() for event in tracer.events()]
+    return [item.as_dict() for item in tracer.events()]
+
+
+def _ending(states):
+    """How a case's last slice ended: finished, backstop or raised."""
+    error = states[-1].get("error")
+    if error is None:
+        return "finished"
+    return "backstop" if "max_cycles" in error else "raised"
 
 
 def _assert_same_slices(got, want):
@@ -616,15 +683,18 @@ def test_trace_engine_matches_interpreter_on_generated_programs(case):
     (register-count shifts included) with accesses of 1/2/4/8 bytes
     that straddle lines and pages, bounded loops, untemplated
     XADD/FENCE/DIV (a register divisor may be zero, so a slice can
-    raise mid-burst) and, on core 0 with a store buffer attached, SSB
-    stores to the shared lines and SSB flushes (whose coherence
-    transitions read ``directory.now``).  On a traced subset the
-    interpreter runs under an ``EventTracer``, and so does a second
-    trace-engine run: tracing must not move its state, and its events
-    must equal the interpreter's.
+    raise mid-burst), spin-waits that a later thread releases, and, on
+    core 0 with a store buffer attached, SSB stores to the shared lines
+    and SSB flushes (whose coherence transitions read
+    ``directory.now``).  On a traced subset the interpreter runs under
+    an ``EventTracer``, and so does a second trace-engine run: tracing
+    must not move its state, and its events must equal the
+    interpreter's.  Each case's ending is an event
+    (``--hypothesis-show-statistics``); few should reach the backstop.
     """
     interp_tracer = EventTracer() if case.traced else None
     want = _run_case(case, "interp", interp_tracer)
+    event("ending: " + _ending(want))
     got = _run_case(case, "trace")
     _assert_same_slices(got, want)
     if case.traced:

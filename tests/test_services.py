@@ -447,6 +447,20 @@ class TestSweepRunner:
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
 
+    def test_hosts_without_named_semaphores_run_serially(self, monkeypatch):
+        """A pool that cannot start (no ``multiprocessing.synchronize``,
+        too few semaphores) raises NotImplementedError: run serially."""
+        import concurrent.futures
+
+        def unavailable(*args, **kwargs):
+            raise NotImplementedError("no named semaphores on this host")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            unavailable)
+        runner = SweepRunner(workers=2)
+        assert runner.map(_double, range(4)) == [0, 2, 4, 6]
+        assert runner.used_workers == 1
+
     def test_map_records_per_cell_cost(self):
         runner = SweepRunner(workers=1)
         assert runner.cost_summary() == "sweep cost: no cells run"

@@ -1,8 +1,9 @@
 """Tests over the benchmark-analog suite."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core.detect.report import ContentionClass
 from repro.errors import WorkloadError
 from repro.sim.machine import Machine
 from repro.workloads.base import SheriffSupport
@@ -184,19 +185,30 @@ class TestCharacterizationCases:
         for group in ("TSRW", "FSRW", "TSWW", "FSWW"):
             assert sum(1 for c in cases if c.group == group) == 40
 
-    def test_rw_case_generates_load_hitms(self):
-        case = CharacterizationCase("TS", "RW", "alu", 2, iters=150)
+    @staticmethod
+    def _hitms_by_kind(case):
+        """(load, store) HITM counts of one run, told by the HITM hook."""
         built = case.build()
         machine = Machine(built.program, seed=0, allocator=built.allocator)
-        result = machine.run(max_cycles=2_000_000)
-        assert result.load_hitm_count > 20
+        kinds = Counter()
+
+        def on_hitm(core_id, inst, addr, is_write, cycle):
+            kinds[is_write] += 1
+            return 0
+
+        machine.on_hitm = on_hitm
+        machine.run(max_cycles=2_000_000)
+        return kinds[False], kinds[True]
+
+    def test_rw_case_generates_load_hitms(self):
+        case = CharacterizationCase("TS", "RW", "alu", 2, iters=150)
+        loads, _ = self._hitms_by_kind(case)
+        assert loads > 20
 
     def test_ww_case_generates_store_hitms(self):
         case = CharacterizationCase("FS", "WW", "alu", 2, iters=150)
-        built = case.build()
-        machine = Machine(built.program, seed=0, allocator=built.allocator)
-        result = machine.run(max_cycles=2_000_000)
-        assert result.store_hitm_count > 20
+        _, stores = self._hitms_by_kind(case)
+        assert stores > 20
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
