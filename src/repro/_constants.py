@@ -5,6 +5,11 @@ i7-4770K (Haswell) with 64-byte cache lines and 8-way L1 data caches.
 Latencies are expressed in core cycles and are deliberately round: the
 reproduction targets the *shape* of the paper's results, not absolute
 nanoseconds.
+
+This module is the one home of the simulated machine's latencies: the
+interpreter, the compiled traces, the coherence directory, the store
+buffer and the Sheriff baseline read them from here, and no object
+carries a copy.
 """
 
 #: Cache line size in bytes (Section 2: "typically 64 bytes").
@@ -36,6 +41,9 @@ ALU_LATENCY = 1
 #: Load/store hitting the local L1 in a usable state.
 L1_HIT_LATENCY = 2
 
+#: Read miss served by a clean copy in another cache (no HITM).
+SHARED_FILL_LATENCY = 30
+
 #: Upgrade of a locally Shared line to Modified (invalidation round).
 UPGRADE_LATENCY = 30
 
@@ -50,6 +58,9 @@ ATOMIC_EXTRA_LATENCY = 10
 
 #: Cost of a memory fence.
 FENCE_LATENCY = 5
+
+#: Cost of a spin-wait ``pause`` hint.
+PAUSE_LATENCY = 8
 
 # ---------------------------------------------------------------------------
 # Software store buffer costs (Section 5.5): the SSB trades per-access
@@ -96,10 +107,6 @@ DRIVER_INTERRUPT_COST = 4_000
 #: Number of PEBS records in a per-core buffer before the driver takes an
 #: interrupt to drain it.
 PEBS_BUFFER_RECORDS = 64
-
-#: Cost charged per HITM event by a profiler that interrupts on *every*
-#: event (the VTune configuration described in Section 7.1).
-PER_EVENT_INTERRUPT_COST = 2_500
 
 #: Capacity of the driver's detector-facing outbox (the kernel device's
 #: internal buffer), in stripped records.  A healthy detector drains the

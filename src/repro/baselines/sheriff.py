@@ -37,6 +37,7 @@ memory-model violations.
 import enum
 from typing import Dict, List, Set
 
+from repro._constants import L1_HIT_LATENCY
 from repro.errors import SheriffCrash, SheriffIncompatible, SimulationError
 from repro.sim.machine import Machine
 from repro.sim.memory import PAGE_SIZE
@@ -88,20 +89,20 @@ class SheriffMachine(Machine):
             # The sync op itself operates on shared memory (the overlay
             # was committed by fence_extra just before).
             value = self.memory.read(addr, size)
-            return value, self.latency.l1_hit
+            return value, L1_HIT_LATENCY
         overlay = self._overlays[core.core_id]
         value = self.memory.read(addr, size)
         for i in range(size):
             byte = overlay.get(addr + i)
             if byte is not None:
                 value = (value & ~(0xFF << (8 * i))) | (byte << (8 * i))
-        return value, self.latency.l1_hit
+        return value, L1_HIT_LATENCY
 
     def mem_write(self, core, inst, addr: int, value: int, size: int) -> int:
         if inst.is_fence:
             self.memory.write(addr, value, size)
-            return self.latency.l1_hit
-        latency = self.latency.l1_hit
+            return L1_HIT_LATENCY
+        latency = L1_HIT_LATENCY
         cid = core.core_id
         if self.mode is SheriffMode.DETECT:
             if self.cycle >= self._next_epoch:

@@ -17,14 +17,14 @@ Key modelling choices, all taken from the paper's description:
   flags — the source of its extra false positives across non-contended
   benchmarks.
 
-The default rate threshold follows the paper's procedure, not its
-number: "for fairness we apply a similar balanced rate threshold ... to
-exclude as many VTune false positives as possible without introducing
-false negatives."  Because VTune's own interrupt overhead inflates each
-benchmark's runtime (deflating its measured per-line rates), the
-balanced value on our simulated clock is 480 events/sec — and, exactly
-as in the paper, no threshold can save the dedup queue bug, whose
-measured rate sits below every other bug's.
+The rate threshold (``HITM_THRESHOLD``) follows the paper's procedure,
+not its number: "for fairness we apply a similar balanced rate
+threshold ... to exclude as many VTune false positives as possible
+without introducing false negatives."  Because VTune's own interrupt
+overhead inflates each benchmark's runtime (deflating its measured
+per-line rates), the balanced value on our simulated clock is 480
+events/sec — and, exactly as in the paper, no threshold can save the
+dedup queue bug, whose measured rate sits below every other bug's.
 """
 
 from typing import List
@@ -52,6 +52,9 @@ MEM_SAMPLE_AFTER = 499
 #: Rate of sampled memory events (events/sec) above which a line is
 #: flagged as memory-hot in the report.
 MEM_HOT_THRESHOLD = 40_000.0
+
+#: HITM rate (events/sec) above which a line is reported.
+HITM_THRESHOLD = 480.0
 
 
 class VTuneResult:
@@ -84,15 +87,8 @@ class VTuneResult:
 class VTuneProfiler:
     """Interrupt-per-event HITM profiling plus general memory sampling."""
 
-    def __init__(self, rate_threshold: float = 480.0, seed: int = 0,
-                 interrupt_cost: int = HITM_INTERRUPT_COST,
-                 mem_sample_cost: int = MEM_SAMPLE_COST,
-                 mem_sample_after: int = MEM_SAMPLE_AFTER):
-        self.rate_threshold = rate_threshold
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.interrupt_cost = interrupt_cost
-        self.mem_sample_cost = mem_sample_cost
-        self.mem_sample_after = mem_sample_after
 
     def run_workload(self, workload, scale: float = 1.0,
                      max_cycles: int = 200_000_000) -> VTuneResult:
@@ -111,7 +107,7 @@ class VTuneProfiler:
 
         hitm_aggregator = LineAggregator(program, sample_after_value=1)
         mem_aggregator = LineAggregator(
-            program, sample_after_value=self.mem_sample_after
+            program, sample_after_value=MEM_SAMPLE_AFTER
         )
         state = {"hitms": 0, "mem_ops": [0] * len(machine.cores)}
         skid_rng = random.Random(derive_seed(self.seed, "vtune-skid"))
@@ -128,15 +124,15 @@ class VTuneProfiler:
             if skid_rng.random() > 0.35:
                 recorded_pc += PC_STRIDE * skid_rng.randint(1, 6)
             hitm_aggregator.add_record_pc(recorded_pc)
-            return self.interrupt_cost
+            return HITM_INTERRUPT_COST
 
         def on_memory_op(core, inst, cycle):
             counts = state["mem_ops"]
             counts[core] += 1
-            if counts[core] % self.mem_sample_after:
+            if counts[core] % MEM_SAMPLE_AFTER:
                 return 0
             mem_aggregator.add_record_pc(inst.pc)
-            return self.mem_sample_cost
+            return MEM_SAMPLE_COST
 
         machine.on_hitm = on_hitm
         machine.on_memory_op = on_memory_op
@@ -146,12 +142,12 @@ class VTuneProfiler:
             (stats.location,
              stats.hitm_rate(result.cycles, 1))
             for stats in hitm_aggregator.lines_above_threshold(
-                result.cycles, self.rate_threshold
+                result.cycles, HITM_THRESHOLD
             )
         ]
         mem_hot_lines = [
             (stats.location,
-             stats.hitm_rate(result.cycles, self.mem_sample_after))
+             stats.hitm_rate(result.cycles, MEM_SAMPLE_AFTER))
             for stats in mem_aggregator.lines_above_threshold(
                 result.cycles, MEM_HOT_THRESHOLD
             )

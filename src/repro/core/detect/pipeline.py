@@ -52,7 +52,6 @@ class DetectionPipeline:
         program: Program,
         vmmap: VirtualMemoryMap,
         sample_after_value: int,
-        record_cost: int = DETECTOR_RECORD_COST,
         tracer=None,
     ):
         self.program = program
@@ -61,7 +60,6 @@ class DetectionPipeline:
         self.load_store_sets = LoadStoreSets.from_program(program)
         self.line_model = CacheLineModel()
         self.sample_after_value = sample_after_value
-        self.record_cost = record_cost
         self.stats = PipelineStats()
         #: Event tracer (``repro.obs.trace``); emits ``detect.window_roll``
         #: per detection window and ``detect.line_over_threshold`` the
@@ -78,12 +76,13 @@ class DetectionPipeline:
     def process(self, records: Sequence[PebsRecord]) -> None:
         """Push one batch through the stages, record by record, in order.
 
-        Every record is seen and costs the detector ``record_cost``;
-        only the records the filter admits reach the later stages.
+        Every record is seen and costs the detector
+        ``DETECTOR_RECORD_COST`` cycles; only the records the filter
+        admits reach the later stages.
         """
         stats = self.stats
         stats.records_seen += len(records)
-        stats.detector_cycles += len(records) * self.record_cost
+        stats.detector_cycles += len(records) * DETECTOR_RECORD_COST
         admit = self.filter.admit
         for record in records:
             if admit(record):

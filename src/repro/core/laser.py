@@ -242,7 +242,7 @@ class Laser:
         return LaserRunResult(
             cycles=machine.cycle,
             report=report,
-            repaired=ctx.st.repaired,
+            repaired=runtime.attached is not None,
             repair_plan=ctx.st.plan,
             pmu=pmu,
             driver=driver,

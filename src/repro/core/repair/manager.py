@@ -5,7 +5,11 @@ sharing (Section 4.4).  It analyzes each thread, checks profitability,
 rewrites the code, and attaches the result to the running machine the
 way Pin attaches to a running process: thread code is swapped at an
 instruction boundary and each affected thread gets a software store
-buffer.
+buffer.  Detach is the inverse and hands back the buffers it removed.
+
+A plan is never serialized: the resilience runtime keeps the attached
+plan object itself, so a detector restored after a crash detaches with
+the same code, index maps and verifier results the attach used.
 """
 
 from typing import Dict, List, Optional, Set
@@ -29,11 +33,6 @@ class RepairPlan:
         self.analyses: Dict[int, ThreadRepairAnalysis] = {}
         self.new_codes: Dict[int, ThreadCode] = {}
         self.index_maps: Dict[int, Dict[int, int]] = {}
-        #: Instrumented-code length per thread.  Kept separately from
-        #: ``new_codes`` because a plan reconstructed from serialized
-        #: attached state (crash recovery) has the lengths and index
-        #: maps — everything detach needs — but not the code objects.
-        self.new_code_lens: Dict[int, int] = {}
         self.rejected_reason: Optional[str] = None
         #: Per-thread rewrite-verifier outcomes (``static/verify.py``);
         #: populated for every rewritten thread.
@@ -43,9 +42,6 @@ class RepairPlan:
         #: because a verifier rejection means the rewriter produced code
         #: the static checker could not prove safe, which is degradation.
         self.verifier_rejected: bool = False
-        #: SSBs removed by :meth:`LaserRepair.detach` (stats survive the
-        #: rollback for end-of-run health accounting).
-        self.detached_buffers: List[SoftwareStoreBuffer] = []
 
     @property
     def profitable(self) -> bool:
@@ -54,48 +50,6 @@ class RepairPlan:
     @property
     def threads_instrumented(self) -> List[int]:
         return sorted(self.index_maps)
-
-    def new_code_len(self, tid: int) -> int:
-        """Instrumented instruction count for one rewritten thread."""
-        if tid in self.new_code_lens:
-            return self.new_code_lens[tid]
-        return len(self.new_codes[tid].instructions)
-
-    # ------------------------------------------------------------------
-    # Crash-recovery serialization (``repro.resilience``)
-    # ------------------------------------------------------------------
-
-    def attached_state(self) -> dict:
-        """JSON-serializable record of an *attached* plan.
-
-        Captures exactly what a recovered detector needs to keep
-        supervising (and eventually detach) instrumentation that is
-        already live in the machine: the threads, their index maps and
-        instrumented code lengths.  The rewritten code itself lives in
-        the machine and survives a detector crash.
-        """
-        return {
-            "contending_pcs": sorted(self.contending_pcs),
-            "threads": [
-                {
-                    "tid": tid,
-                    "index_map": sorted(self.index_maps[tid].items()),
-                    "new_len": self.new_code_len(tid),
-                }
-                for tid in self.threads_instrumented
-            ],
-        }
-
-    @classmethod
-    def from_attached_state(cls, program: Program,
-                            state: dict) -> "RepairPlan":
-        """Rebuild a detachable plan from serialized attached state."""
-        plan = cls(program, set(state["contending_pcs"]))
-        for entry in state["threads"]:
-            tid = entry["tid"]
-            plan.index_maps[tid] = {old: new for old, new in entry["index_map"]}
-            plan.new_code_lens[tid] = entry["new_len"]
-        return plan
 
     def min_stores_per_flush(self) -> float:
         ratios = [
@@ -144,7 +98,6 @@ class LaserRepair:
                 )
                 plan.new_codes.clear()
                 plan.index_maps.clear()
-                plan.new_code_lens.clear()
                 self.plans_rejected += 1
                 if tracer.enabled:
                     tracer.emit("repair.plan_rejected", cycle, thread=tid,
@@ -165,7 +118,6 @@ class LaserRepair:
                 plan.verifier_rejected = True
                 plan.new_codes.clear()
                 plan.index_maps.clear()
-                plan.new_code_lens.clear()
                 self.plans_rejected += 1
                 self.plans_verifier_rejected += 1
                 if tracer.enabled:
@@ -174,7 +126,6 @@ class LaserRepair:
                 return plan
             plan.new_codes[tid] = new_code
             plan.index_maps[tid] = index_map
-            plan.new_code_lens[tid] = len(new_code.instructions)
         if not plan.new_codes:
             plan.rejected_reason = "no thread contains the contending PCs"
             self.plans_rejected += 1
@@ -210,8 +161,9 @@ class LaserRepair:
     # Detach (rollback: the Pin-detach analog)
     # ------------------------------------------------------------------
 
-    def detach(self, machine, plan: RepairPlan) -> None:
-        """Roll the instrumentation back out of a running machine.
+    def detach(self, machine,
+               plan: RepairPlan) -> List[SoftwareStoreBuffer]:
+        """Roll the instrumentation back out; returns the detached SSBs.
 
         The inverse of :meth:`attach`: each instrumented thread's SSB is
         drained (pending stores become globally visible — the flush is
@@ -221,8 +173,10 @@ class LaserRepair:
         inverse index map.  A thread paused *at* an injected flush or
         alias check resumes at the original instruction the injection
         guarded; with no SSB attached the guard is vacuous, so skipping
-        it is semantically exact.
+        it is semantically exact.  The returned buffers keep their stats
+        for end-of-run health accounting.
         """
+        buffers = []
         for tid in plan.threads_instrumented:
             core = machine.cores[tid]
             ssb = core.ssb
@@ -230,10 +184,10 @@ class LaserRepair:
                 if not ssb.empty():
                     ssb.flush(tid)
                     core.stats.ssb_flushes += 1
-                plan.detached_buffers.append(ssb)
+                buffers.append(ssb)
             core.ssb = None
             inverse = _invert_index_map(
-                plan.index_maps[tid], plan.new_code_len(tid)
+                plan.index_maps[tid], len(plan.new_codes[tid].instructions)
             )
             core.replace_code(
                 plan.program.threads[tid].instructions, inverse
@@ -244,6 +198,7 @@ class LaserRepair:
                 "repair.detach", machine.cycle,
                 threads=plan.threads_instrumented,
             )
+        return buffers
 
 
 def _invert_index_map(index_map: Dict[int, int], new_len: int) -> Dict[int, int]:

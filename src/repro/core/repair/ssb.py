@@ -32,6 +32,8 @@ from repro._constants import (
     CACHE_LINE_SIZE,
     HTM_ABORT_FALLBACK_THRESHOLD,
     L1_ASSOCIATIVITY,
+    SSB_FLUSH_BASE_LATENCY,
+    SSB_FLUSH_ENTRY_LATENCY,
 )
 from repro.errors import HtmAbort
 from repro.sim.htm import HardwareTransactionalMemory
@@ -174,12 +176,12 @@ class SoftwareStoreBuffer:
         if self.fallback_active:
             return self._flush_per_store(core_id)
         writes = self._coalesced_writes()
-        latency_model = self.machine.latency
-        latency = latency_model.ssb_flush_base
-        latency += latency_model.ssb_flush_entry * len(writes)
-        htm: HardwareTransactionalMemory = self.machine.htm
+        latency = SSB_FLUSH_BASE_LATENCY
+        latency += SSB_FLUSH_ENTRY_LATENCY * len(writes)
+        machine = self.machine
+        htm: HardwareTransactionalMemory = machine.htm
         try:
-            latency += htm.execute_atomically(core_id, writes)
+            latency += htm.execute_atomically(core_id, writes, machine.cycle)
             self.consecutive_aborts = 0
         except HtmAbort:
             self.stats.htm_aborts += 1
@@ -188,11 +190,12 @@ class SoftwareStoreBuffer:
                 latency += self._activate_fallback()
                 return latency + self._flush_per_store(core_id)
             # Capacity fallback: commit in capacity-sized FIFO chunks.
-            chunks = htm.split_for_capacity(writes, htm.capacity_lines)
+            chunks = htm.split_for_capacity(writes)
             for index, chunk in enumerate(chunks):
-                latency += latency_model.ssb_flush_base
+                latency += SSB_FLUSH_BASE_LATENCY
                 try:
-                    latency += htm.execute_atomically(core_id, chunk)
+                    latency += htm.execute_atomically(core_id, chunk,
+                                                      machine.cycle)
                 except HtmAbort:
                     # The chunks abort too (an abort storm, not mere
                     # capacity).  Give up on the HTM and write this and
@@ -219,7 +222,7 @@ class SoftwareStoreBuffer:
         No transaction, no coalescing: each store becomes globally
         visible in program order, so TSO holds without the HTM.
         """
-        latency = self.machine.latency.ssb_flush_base
+        latency = SSB_FLUSH_BASE_LATENCY
         latency += self._write_entries(core_id, self._fifo)
         self.stats.flushes += 1
         self._clear()
@@ -229,11 +232,10 @@ class SoftwareStoreBuffer:
                        entries: List[Tuple[int, int, int]]) -> int:
         """Write (addr, value, size) entries back directly, in order."""
         machine = self.machine
-        per_entry = machine.latency.ssb_flush_entry
         latency = 0
         for addr, value, size in entries:
-            latency += machine.directory.access(core_id, addr, size,
-                                                is_write=True)[0] + per_entry
+            latency += machine.directory.access(
+                core_id, addr, size, is_write=True)[0] + SSB_FLUSH_ENTRY_LATENCY
             machine.memory.write(addr, value, size)
             self.stats.fallback_stores += 1
         return latency

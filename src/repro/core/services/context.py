@@ -11,12 +11,12 @@ scheduler at each slice boundary.
 :class:`DetectorState` is the detector process's in-memory loop state —
 everything that dies with a detector crash and is rebuilt from the last
 checkpoint plus journal replay.  Keeping it in one object keeps the
-crash/restore boundary honest.  The repair-attachment flags
-(``plan``/``repaired``/``rolled_back``) are *not* part of the
-checkpointed loop state — the resilience runtime is the durable
-authority on what instrumentation is live in the machine, and restore
-reconciles against it (a checkpoint can legitimately be a generation
-stale; trusting its attachment flags could double-attach).
+crash/restore boundary honest.  Repair attachment is *not* part of it:
+the resilience runtime holds the attached plan and the rolled-back
+flag, and every reader asks the runtime (a checkpoint can legitimately
+be a generation stale; trusting it for attachment could double-attach).
+``plan`` is the last plan the repair service evaluated, which a restore
+resets to the runtime's attached plan.
 """
 
 from typing import List
@@ -36,15 +36,12 @@ REPAIR_BACKOFF_MAX = 32
 class DetectorState:
     """The detector process's in-memory loop state."""
 
-    __slots__ = ("plan", "repaired", "rolled_back", "stalled",
-                 "window_start", "backoff_remaining", "repair_backoff",
-                 "attach_rate", "windows_since_attach",
+    __slots__ = ("plan", "stalled", "window_start", "backoff_remaining",
+                 "repair_backoff", "attach_rate", "windows_since_attach",
                  "mark_cycle", "mark_hitm", "mark_aborts")
 
     def __init__(self):
         self.plan = None
-        self.repaired = False
-        self.rolled_back = False
         self.repair_backoff = Backoff(REPAIR_BACKOFF_INTERVALS,
                                       REPAIR_BACKOFF_MAX)
         self.reset_loop_state()
@@ -85,15 +82,6 @@ class DetectorState:
         self.mark_cycle = loop["mark_cycle"]
         self.mark_hitm = loop["mark_hitm"]
         self.mark_aborts = loop["mark_aborts"]
-
-    @property
-    def repair_state(self) -> str:
-        """The telemetry window's repair-phase label."""
-        if self.repaired:
-            return "attached"
-        if self.rolled_back:
-            return "rolled_back"
-        return "idle"
 
 
 class RunContext:

@@ -12,9 +12,10 @@ is thrashing the HTM), the watchdog detaches the instrumentation,
 restoring the original program.
 
 Attachment is durable state.  Every attach and detach is recorded with
-the resilience runtime (the authority a restore reconciles against)
-and checkpointed immediately, so no restore from a stale generation
-can double-attach or resurrect a rolled-back repair.
+the resilience runtime, which holds the attached plan itself (the
+authority a restore takes the plan back from), and checkpointed
+immediately, so no restore from a stale generation can double-attach
+or resurrect a rolled-back repair.
 """
 
 from typing import Optional, Set
@@ -57,12 +58,13 @@ class RepairService(Service):
         config, st, health = ctx.config, ctx.st, ctx.health
         if not config.repair_enabled:
             return
-        if st.repaired:
+        runtime = ctx.runtime
+        if runtime.attached is not None:
             self._watchdog(ctx)
             return
-        if st.rolled_back:
+        if runtime.rolled_back:
             return  # one rollback ends repair attempts for the run
-        if not ctx.runtime.repair_allowed:
+        if not runtime.repair_allowed:
             return  # degraded to detection-only: no new instrumentation
         if st.backoff_remaining > 0:
             st.backoff_remaining -= 1
@@ -99,7 +101,6 @@ class RepairService(Service):
     def _attach(self, ctx, plan) -> None:
         st, pmu = ctx.st, ctx.pmu
         self._repairer.attach(ctx.machine, plan)
-        st.repaired = True
         st.windows_since_attach = 0
         st.attach_rate = (
             pmu.total_hitm_count * CYCLES_PER_SECOND / ctx.cycle
@@ -108,10 +109,10 @@ class RepairService(Service):
         st.mark_cycle = ctx.cycle
         st.mark_hitm = pmu.total_hitm_count
         st.mark_aborts = ssb_abort_count(ctx.machine)
-        # Attachment is durable state: record the serialized plan and
-        # checkpoint immediately, so a restore from any retained
-        # generation reconciles correctly.
-        ctx.runtime.note_attached(plan.attached_state())
+        # Attachment is durable state: record the plan and checkpoint
+        # immediately, so a restore from any retained generation
+        # reconciles correctly.
+        ctx.runtime.note_attached(plan)
         self._resilience.save_checkpoint(ctx)
 
     def _watchdog(self, ctx) -> None:
@@ -139,14 +140,13 @@ class RepairService(Service):
             verdict="keep" if paying else "detach",
         )
         if not paying:
-            self._repairer.detach(ctx.machine, st.plan)
+            runtime = ctx.runtime
+            buffers = self._repairer.detach(ctx.machine, runtime.attached)
             ctx.health.rollbacks += 1
-            st.repaired = False
-            st.rolled_back = True
             # Detachment is durable state: record it (and the host-side
             # SSB stats) and checkpoint immediately so no restore
             # resurrects the attachment.
-            ctx.runtime.note_detached(st.plan.detached_buffers)
+            runtime.note_detached(buffers)
             self._resilience.save_checkpoint(ctx)
         else:
             st.mark_cycle = ctx.cycle
@@ -226,24 +226,14 @@ class RepairService(Service):
     # ------------------------------------------------------------------
 
     def on_checkpoint_restore(self, ctx, state) -> None:
-        """Reconcile attachment against the runtime's durable authority.
+        """Take the attached plan back from the runtime's authority.
 
         The runtime — not the (possibly stale, possibly fallen-back)
         checkpoint — is the authority on what instrumentation is live
         in the machine; trusting an older generation here could
         double-attach or strand an SSB.
         """
-        runtime, st = ctx.runtime, ctx.st
-        if runtime.attached_state is not None:
-            st.plan = RepairPlan.from_attached_state(
-                ctx.program, runtime.attached_state
-            )
-            st.repaired = True
-            st.rolled_back = False
-        else:
-            st.plan = None
-            st.repaired = False
-            st.rolled_back = runtime.rolled_back
+        ctx.st.plan = ctx.runtime.attached
 
     def health(self, ctx) -> None:
         machine, health = ctx.machine, ctx.health

@@ -128,7 +128,8 @@ class Scheduler:
         ctx.health.faults_injected = ctx.injector.total_fired
         ctx.tracer.emit(
             "laser.run_end", machine.cycle, cycles=machine.cycle,
-            hitm_events=ctx.pmu.total_hitm_count, repaired=ctx.st.repaired,
+            hitm_events=ctx.pmu.total_hitm_count,
+            repaired=ctx.runtime.attached is not None,
             degraded=ctx.health.degraded,
         )
         return report

@@ -40,11 +40,10 @@ class TelemetryService(Service):
 
     def on_poll(self, ctx) -> None:
         """Close the interval's window (even on the final interval)."""
-        st = ctx.st
         self._record_window(
             ctx,
-            stalled=st.stalled or not ctx.detector_up,
-            repair_state=st.repair_state,
+            stalled=ctx.st.stalled or not ctx.detector_up,
+            repair_state=ctx.runtime.repair_state,
         )
 
     def on_exit(self, ctx) -> None:
@@ -55,7 +54,7 @@ class TelemetryService(Service):
             self._record_window(
                 ctx,
                 stalled=st.stalled or ctx.was_down,
-                repair_state=st.repair_state,
+                repair_state=ctx.runtime.repair_state,
             )
 
     def health(self, ctx) -> None:

@@ -1,13 +1,9 @@
 """Exception hierarchy for the LASER reproduction."""
 
-from typing import Optional
-
 __all__ = [
     "ReproError",
     "AssemblyError",
     "SimulationError",
-    "MemoryError_",
-    "DeadlockError",
     "AllocationError",
     "HtmAbort",
     "RepairError",
@@ -31,14 +27,6 @@ class SimulationError(ReproError):
     """The machine entered an invalid state (bad address, deadlock...)."""
 
 
-class MemoryError_(SimulationError):
-    """An access touched an address outside any mapped region."""
-
-
-class DeadlockError(SimulationError):
-    """No core can make progress (e.g. all spinning on a lost lock)."""
-
-
 class AllocationError(SimulationError):
     """The simulated allocator ran out of heap or got bad arguments."""
 
@@ -47,37 +35,15 @@ class HtmAbort(ReproError):
     """A hardware transaction aborted (capacity, conflict, or injected).
 
     Raised internally by the HTM model and handled by the SSB flush
-    logic.  Mirrors the RTM abort status word: a structured ``reason``
-    plus the context needed to decide between retry and fallback.
-
-    ``reason``
-        Short classification string; starts with ``"capacity"`` or
-        ``"conflict"`` (free text after the classification is allowed
-        for diagnostics, e.g. ``"capacity: 9 lines > 8 ways"``).
-    ``abort_pc``
-        PC of the instruction whose flush aborted, when known.
-    ``conflict_line``
-        Cache line index implicated in the abort, when known.
-    ``abort_count``
-        The HTM's running abort counter at the time of this abort
-        (used by the SSB's consecutive-abort fallback policy).
+    logic, which counts consecutive aborts itself.  ``reason`` is a
+    short classification string that starts with ``"capacity"`` or
+    ``"conflict"`` (free text after the classification is allowed for
+    diagnostics, e.g. ``"capacity: 9 lines > 8 ways"``).
     """
 
-    def __init__(self, reason: str, abort_pc: Optional[int] = None,
-                 conflict_line: Optional[int] = None, abort_count: int = 0):
+    def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-        self.abort_pc = abort_pc
-        self.conflict_line = conflict_line
-        self.abort_count = abort_count
-
-    @property
-    def is_capacity(self) -> bool:
-        return self.reason.startswith("capacity")
-
-    @property
-    def is_conflict(self) -> bool:
-        return self.reason.startswith("conflict")
 
 
 class RepairError(ReproError):

@@ -120,12 +120,14 @@ class SweepRunner:
         if pool is None:
             self.used_workers = 1
             return [fn(cell) for cell in cells]
+        from concurrent.futures import BrokenExecutor
+
         try:
             results = list(pool.map(fn, cells))
-        except OSError:
+        except (OSError, BrokenExecutor):
             # The pool died under us (host revoked subprocess rights
-            # mid-soak): drop it and degrade to the serial path rather
-            # than failing the sweep.
+            # mid-soak, or a worker process died): drop it and degrade
+            # to the serial path rather than failing the sweep.
             self._pool_unavailable = True
             self.close()
             self.used_workers = 1

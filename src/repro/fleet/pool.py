@@ -7,9 +7,9 @@ nothing more exotic than :class:`~repro.experiments.runner.SweepRunner`
 — the same order-preserving fan-out every experiment harness uses,
 with the same guarantees: results merge in tenant order, byte-identical
 at any worker count, serial fallback where subprocess pools are
-unavailable.  One runner can be shared across many fleet runs (the
-fleet chaos soak does), keeping pool construction off the per-schedule
-cost.
+unavailable.  Each pool owns its runner; the fleet chaos soak shares
+one runner across its cells instead, and runs each cell's fleet on a
+serial pool (no nested pools).
 """
 
 from typing import List, Optional
@@ -57,12 +57,10 @@ def _shard_cell(tenant: TenantSpec, fleet: FleetSpec) -> TenantOutcome:
 class FleetPool:
     """Run every tenant's shard and merge outcomes in tenant order."""
 
-    def __init__(self, spec: FleetSpec, workers: Optional[int] = None,
-                 runner: Optional[SweepRunner] = None):
+    def __init__(self, spec: FleetSpec, workers: Optional[int] = None):
         self.spec = spec
-        #: The fan-out runner; pass one in to share it (and its cost
-        #: accounting) across fleet runs.
-        self.runner = runner if runner is not None else SweepRunner(workers)
+        #: The fan-out runner (and its cost accounting).
+        self.runner = SweepRunner(workers)
 
     def run(self) -> FleetResult:
         cells = [(tenant, self.spec) for tenant in self.spec.tenants]

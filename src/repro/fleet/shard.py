@@ -57,6 +57,11 @@ TENANT_SITES = frozenset({"tenant.crash", "tenant.flood"})
 FLOOD_PROBABILITY = 0.5
 FLOOD_MAX_FIRES = 1200
 
+#: Seeded jitter on the session restart backoff (``RetryPolicy``'s
+#: 1 .. 8 interval schedule), so restarting tenants do not
+#: thundering-herd onto the same interval.
+RESTART_JITTER = 0.5
+
 
 class TenantOutcome:
     """Everything one shard reports back to the fleet (picklable)."""
@@ -188,8 +193,7 @@ def run_shard(tenant: TenantSpec, fleet: FleetSpec) -> TenantOutcome:
         fleet.fault_plan_for(tenant.name))
     fleet_injector = FaultInjector(fleet_plan)
     policy = RetryPolicy(
-        initial=fleet.restart_initial, maximum=fleet.restart_max,
-        jitter=fleet.restart_jitter, max_attempts=fleet.max_restarts,
+        jitter=RESTART_JITTER, max_attempts=fleet.max_restarts,
         rng=random.Random(
             derive_seed(fleet.seed, "fleet.restart:" + tenant.name)),
     )

@@ -15,6 +15,11 @@ as ``control_budget_records``, with the overload controller enabled.
 A tenant that floods therefore sheds against *its own* budget inside
 *its own* shard; no other tenant's admission window moves.
 
+A fleet spec also carries each tenant's session restart budget
+(``max_restarts``).  The backoff between restarts is not a fleet knob:
+every shard uses :class:`~repro.resilience.RetryPolicy`'s default
+1 .. 8 interval schedule with the shard's seeded ``RESTART_JITTER``.
+
 Everything here is a small picklable value object — tenant specs cross
 the :class:`~repro.experiments.runner.SweepRunner` process boundary,
 and the heavy machinery (machines, drivers, pipelines) is built inside
@@ -75,15 +80,13 @@ class TenantSpec:
 
 
 class FleetSpec:
-    """The whole fleet: tenants plus fault schedules and restart knobs."""
+    """The whole fleet: tenants plus fault schedules and restart budget."""
 
-    __slots__ = ("tenants", "seed", "faults", "max_restarts",
-                 "restart_initial", "restart_max", "restart_jitter")
+    __slots__ = ("tenants", "seed", "faults", "max_restarts")
 
     def __init__(self, tenants: List[TenantSpec], seed: int,
                  faults: Optional[Dict[str, FaultPlan]] = None,
-                 max_restarts: int = 3, restart_initial: int = 1,
-                 restart_max: int = 8, restart_jitter: float = 0.5):
+                 max_restarts: int = 3):
         self.tenants = tenants
         self.seed = seed
         #: Per-tenant fault schedules (tenant name -> plan).  A plan
@@ -93,14 +96,10 @@ class FleetSpec:
         #: the dict run fault-free.
         self.faults = dict(faults or {})
         #: Session restart budget per tenant; exhaustion *evicts* the
-        #: tenant (its shard stops, the fleet keeps running).
+        #: tenant (its shard stops, the fleet keeps running).  The
+        #: backoff between restarts is the shard's (see
+        #: :mod:`repro.fleet.shard`).
         self.max_restarts = max_restarts
-        #: Restart backoff schedule (intervals), with seeded jitter so
-        #: restarting tenants do not thundering-herd (see
-        #: :class:`~repro.resilience.Backoff`).
-        self.restart_initial = restart_initial
-        self.restart_max = restart_max
-        self.restart_jitter = restart_jitter
 
     def tenant(self, name: str) -> TenantSpec:
         for tenant in self.tenants:

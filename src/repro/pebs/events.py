@@ -34,12 +34,13 @@ class PebsRecord:
     __slots__ = ("pc", "data_addr", "core", "cycle", "seq", "weight")
 
     def __init__(self, pc: int, data_addr: int, core: int, cycle: int,
-                 seq: int = 0, weight: int = 1):
+                 weight: int = 1):
         self.pc = pc
         self.data_addr = data_addr
         self.core = core
         self.cycle = cycle
-        self.seq = seq
+        #: Stamped by the journal when the driver appends the record.
+        self.seq = 0
         self.weight = weight
 
     def __repr__(self):

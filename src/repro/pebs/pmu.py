@@ -60,7 +60,6 @@ class PerformanceMonitoringUnit:
         imprecision: ImprecisionModel,
         driver,
         sample_after_value: int = 19,
-        num_cores: int = NUM_CORES,
         record_cost: int = PEBS_RECORD_COST,
         injector=None,
         tracer=None,
@@ -74,7 +73,6 @@ class PerformanceMonitoringUnit:
         #: overload controller keeps this equal to the SAV multiplier
         #: it applied, and it is 1 whenever the controller is off.
         self.sample_weight = 1
-        self.num_cores = num_cores
         self.record_cost = record_cost
         #: Optional :class:`repro.faults.FaultInjector`; hosts the
         #: ``pebs.record_drop``, ``pebs.record_corrupt`` and
@@ -83,7 +81,7 @@ class PerformanceMonitoringUnit:
         #: Event tracer (``repro.obs.trace``); emits ``pebs.sample``
         #: whenever the microcode assist materializes a record.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.hitm_counts: List[int] = [0] * num_cores
+        self.hitm_counts: List[int] = [0] * NUM_CORES
         self.records_generated = 0
         #: Synthetic ``load.burst`` accounting, separate from the real
         #: counters so storms never shift the genuine sampling phase.

@@ -1,16 +1,17 @@
 """Schema-versioned, CRC-guarded detector checkpoints.
 
 A checkpoint is the serialized state of the detector pipeline (line
-aggregates, cache-line model, classification history), the loop-control
-state (backoff, watchdog marks) and the repair-manager attachment —
-everything a restarted detector needs besides the record journal.
+aggregates, cache-line model, classification history) and the
+loop-control state (backoff, watchdog marks) — everything a restarted
+detector needs besides the record journal and the attached repair plan,
+which the resilience runtime holds.
 
 Snapshots are canonical JSON (sorted keys, no whitespace variance)
 guarded by a CRC-32 and a schema version:
 
 * the CRC is computed over the payload bytes at save time and checked
   at load time; a mismatch means the snapshot is corrupt and the store
-  falls back to the previous *generation* (``keep`` generations are
+  falls back to the previous *generation* (``GENERATIONS`` are
   retained, oldest pruned);
 * the schema version is embedded in the payload; a snapshot written by
   an incompatible detector version is treated exactly like a corrupt
@@ -33,6 +34,10 @@ __all__ = ["CHECKPOINT_SCHEMA", "Snapshot", "CheckpointStore", "encode_state"]
 
 #: Bump on any incompatible change to the checkpoint payload layout.
 CHECKPOINT_SCHEMA = 1
+
+#: Generations retained: the newest, plus the one a corrupt newest
+#: falls back to.
+GENERATIONS = 2
 
 
 def encode_state(state: dict) -> bytes:
@@ -65,10 +70,7 @@ class Snapshot:
 class CheckpointStore:
     """Bounded generations of CRC-guarded snapshots with fallback load."""
 
-    def __init__(self, keep: int = 2, injector=None, tracer=None):
-        if keep < 1:
-            raise ValueError("must keep >= 1 checkpoint generations")
-        self.keep = keep
+    def __init__(self, injector=None, tracer=None):
         #: Optional :class:`repro.faults.FaultInjector`; hosts the
         #: ``checkpoint.corrupt`` site (consulted per candidate
         #: generation at load time).
@@ -98,7 +100,7 @@ class CheckpointStore:
         )
         self._next_generation += 1
         self._snapshots.append(snap)
-        if len(self._snapshots) > self.keep:
+        if len(self._snapshots) > GENERATIONS:
             del self._snapshots[0]
         self.written += 1
         if self.tracer.enabled:
@@ -195,6 +197,6 @@ class CheckpointStore:
 
     def __repr__(self):
         return "<CheckpointStore %d/%d gens written=%d restored=%d corrupt=%d>" % (
-            len(self._snapshots), self.keep, self.written, self.restored,
+            len(self._snapshots), GENERATIONS, self.written, self.restored,
             self.corrupt_detected,
         )

@@ -20,14 +20,19 @@ and the degrade ladder the circuit breaker walks:
 The runtime is also the *durable authority on repair attachment*.  A
 checkpoint can be a generation stale; restoring one from before an
 attach (or detach) and trusting it would double-attach or leak
-instrumentation.  ``note_attached``/``note_detached`` record the truth
-at the moment it changes, and restore reconciles against it.
+instrumentation.  ``note_attached`` keeps the live attached
+:class:`~repro.core.repair.manager.RepairPlan` itself (its rewritten
+code runs in the machine, which a detector crash does not touch), and
+``note_detached`` drops it and keeps the detached store buffers.  A
+restored detector takes the plan back from here, and every reader of
+the attachment state (the repair watchdog, the window label, the run
+result) asks the runtime.
 
 Like tracing, the runtime observes and records but never charges
 simulated cycles.
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.obs.trace import NULL_TRACER
 from repro.resilience.checkpoint import CheckpointStore
@@ -57,8 +62,8 @@ class ResilienceRuntime:
     def __init__(self, config, injector=None, tracer=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = RecordJournal()
-        self.checkpoints = CheckpointStore(
-            keep=2, injector=injector, tracer=self.tracer)
+        self.checkpoints = CheckpointStore(injector=injector,
+                                           tracer=self.tracer)
         self.supervisor = Supervisor(tracer=self.tracer)
         for name in self.COMPONENTS:
             self.supervisor.register(name, RetryPolicy(
@@ -66,13 +71,13 @@ class ResilienceRuntime:
         self.mode = DegradeMode.NORMAL
         self.records_replayed = 0
         self.records_deduped = 0
-        #: Serialized state of the plan currently attached to the
-        #: machine (``RepairPlan.attached_state()``), or None.  Updated
-        #: at attach/detach time — authoritative over any checkpoint.
-        self.attached_state: Optional[dict] = None
-        #: True once a repair has been rolled back; like the attachment
-        #: state, durable across detector crashes (one rollback ends
-        #: repair attempts for the run).
+        #: The repair plan currently attached to the machine, or None.
+        #: Updated at attach/detach time — authoritative over any
+        #: checkpoint.
+        self.attached = None
+        #: True once a repair has been rolled back; like the attachment,
+        #: durable across detector crashes (one rollback ends repair
+        #: attempts for the run).
         self.rolled_back = False
         #: Host-retained store buffers from detached plans; their stats
         #: must survive detector crashes (the machine no longer holds
@@ -102,13 +107,22 @@ class ResilienceRuntime:
     # Repair-attachment authority
     # ------------------------------------------------------------------
 
-    def note_attached(self, state: dict) -> None:
-        self.attached_state = state
+    def note_attached(self, plan) -> None:
+        self.attached = plan
 
     def note_detached(self, buffers) -> None:
-        self.attached_state = None
+        self.attached = None
         self.rolled_back = True
         self.detached_buffers.extend(buffers)
+
+    @property
+    def repair_state(self) -> str:
+        """The telemetry window's repair-phase label."""
+        if self.attached is not None:
+            return "attached"
+        if self.rolled_back:
+            return "rolled_back"
+        return "idle"
 
     # ------------------------------------------------------------------
     # Replay accounting

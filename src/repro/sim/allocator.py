@@ -16,7 +16,7 @@ faster under LASER "due to a coincidental change in memory layout".
 from typing import Dict, List, Tuple
 
 from repro.errors import AllocationError
-from repro.sim.vmmap import HEAP_BASE
+from repro.sim.vmmap import HEAP_BASE, HEAP_SIZE
 
 __all__ = ["Allocator", "CHUNK_HEADER_SIZE", "DEFAULT_ALIGNMENT"]
 
@@ -30,13 +30,11 @@ DEFAULT_ALIGNMENT = 16
 class Allocator:
     """Bump allocator over the simulated heap region."""
 
-    def __init__(self, heap_base: int = HEAP_BASE, heap_size: int = 0x0100_0000,
-                 base_offset: int = 0):
+    def __init__(self, heap_size: int = HEAP_SIZE, base_offset: int = 0):
         if base_offset < 0 or base_offset >= 4096:
             raise AllocationError("base_offset must be in [0, 4096)")
-        self.heap_base = heap_base
-        self.heap_end = heap_base + heap_size
-        self._next = heap_base + base_offset + CHUNK_HEADER_SIZE
+        self.heap_end = HEAP_BASE + heap_size
+        self._next = HEAP_BASE + base_offset + CHUNK_HEADER_SIZE
         self._live: Dict[int, int] = {}  # addr -> size
         self._labels: Dict[int, str] = {}
 

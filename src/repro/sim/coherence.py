@@ -13,9 +13,15 @@ directory reports these to the machine, which forwards them to the PMU.
 
 from typing import Dict, List, Optional, Tuple
 
-from repro._constants import CACHE_LINE_SIZE, NUM_CORES
+from repro._constants import (
+    CACHE_LINE_SIZE,
+    HITM_LATENCY,
+    L1_HIT_LATENCY,
+    MEMORY_LATENCY,
+    SHARED_FILL_LATENCY,
+    UPGRADE_LATENCY,
+)
 from repro.sim.cache import LineState
-from repro.sim.timing import LatencyModel
 
 __all__ = ["CoherenceDirectory"]
 
@@ -23,9 +29,7 @@ __all__ = ["CoherenceDirectory"]
 class CoherenceDirectory:
     """Per-line MESI state across all cores."""
 
-    def __init__(self, latency: LatencyModel, num_cores: int = NUM_CORES):
-        self.latency = latency
-        self.num_cores = num_cores
+    def __init__(self):
         # line index -> {core: LineState}; absent core means Invalid.
         self._lines: Dict[int, Dict[int, LineState]] = {}
         # line index -> cycle until which the line's coherence transition
@@ -56,7 +60,7 @@ class CoherenceDirectory:
         hitm = False
         for line in range(first_line, last_line + 1):
             latency, line_hitm = self._access_line(core, line, is_write)
-            if latency > self.latency.l1_hit:
+            if latency > L1_HIT_LATENCY:
                 # A coherence transition: serialize behind any transition
                 # already in flight on this line.
                 busy_until = self._line_busy_until.get(line, 0)
@@ -77,47 +81,46 @@ class CoherenceDirectory:
             states = {}
             self._lines[line] = states
         mine = states.get(core, LineState.INVALID)
-        lat = self.latency
 
         if not is_write:
             if mine is not LineState.INVALID:
-                return lat.l1_hit, False
+                return L1_HIT_LATENCY, False
             modified_owner = self._modified_holder(states, exclude=core)
             if modified_owner is not None:
                 # HITM: remote M line is written back and both end Shared.
                 states[modified_owner] = LineState.SHARED
                 states[core] = LineState.SHARED
-                return lat.hitm, True
+                return HITM_LATENCY, True
             if states:
                 # Clean copy supplied by a sharer; E holders downgrade.
                 for holder, st in list(states.items()):
                     if st is LineState.EXCLUSIVE:
                         states[holder] = LineState.SHARED
                 states[core] = LineState.SHARED
-                return lat.shared_fill, False
+                return SHARED_FILL_LATENCY, False
             states[core] = LineState.EXCLUSIVE
-            return lat.memory, False
+            return MEMORY_LATENCY, False
 
         # Write path.
         if mine is LineState.MODIFIED:
-            return lat.l1_hit, False
+            return L1_HIT_LATENCY, False
         if mine is LineState.EXCLUSIVE:
             states[core] = LineState.MODIFIED
-            return lat.l1_hit, False
+            return L1_HIT_LATENCY, False
         modified_owner = self._modified_holder(states, exclude=core)
         if modified_owner is not None:
             # HITM: dirty line transferred and remote copy invalidated.
             del states[modified_owner]
             states.clear()
             states[core] = LineState.MODIFIED
-            return lat.hitm, True
+            return HITM_LATENCY, True
         if mine is LineState.SHARED or states:
             # Upgrade / invalidation round over the sharers.
             states.clear()
             states[core] = LineState.MODIFIED
-            return lat.upgrade, False
+            return UPGRADE_LATENCY, False
         states[core] = LineState.MODIFIED
-        return lat.memory, False
+        return MEMORY_LATENCY, False
 
     @staticmethod
     def _modified_holder(states: Dict[int, LineState], exclude: int) -> Optional[int]:

@@ -15,6 +15,16 @@ Register conventions used by the workloads:
 import enum
 from typing import List
 
+from repro._constants import (
+    ALIAS_CHECK_LATENCY,
+    ALU_LATENCY,
+    ATOMIC_EXTRA_LATENCY,
+    FENCE_LATENCY,
+    PAUSE_LATENCY,
+    PIN_TAX_LATENCY,
+    SSB_LOAD_LATENCY,
+    SSB_STORE_LATENCY,
+)
 from repro.errors import SimulationError
 from repro.isa.instructions import NUM_REGISTERS, Instruction, Opcode
 
@@ -55,11 +65,10 @@ class Core:
         self.stats = CoreStats()
         #: Attached software store buffer (set by LASERREPAIR's runtime).
         self.ssb = None
-        #: Compiled-trace caches for the trace engine (one per pin-tax
-        #: variant); built lazily by the machine, invalidated whenever
-        #: the instruction stream is swapped.
+        #: Compiled trace of the current instruction stream for the
+        #: trace engine; built lazily by the machine, dropped whenever
+        #: the stream is swapped.
         self._trace = None
-        self._trace_taxed = None
 
     # ------------------------------------------------------------------
     # Dynamic rewriting support (the Pin attach analog)
@@ -82,7 +91,6 @@ class Core:
             self.pc_index = index_map[self.pc_index]
         self.instructions = instructions
         self._trace = None
-        self._trace_taxed = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -103,14 +111,13 @@ class Core:
         latency = self._execute(inst)
         if self.ssb is not None:
             # This thread runs inside the DBI framework's code cache.
-            latency += self.machine.latency.pin_tax
+            latency += PIN_TAX_LATENCY
         self.stats.busy_cycles += latency
         return latency
 
     def _execute(self, inst: Instruction) -> int:
         op = inst.op
         regs = self.registers
-        lat = self.machine.latency
         next_pc = self.pc_index + 1
 
         if op is Opcode.LOAD:
@@ -123,12 +130,12 @@ class Core:
             latency = self.machine.mem_write(self, inst, addr, value, inst.size)
         elif op is Opcode.MOV:
             regs[inst.rd] = inst.a.value_of(regs) & WORD_MASK
-            latency = lat.alu
+            latency = ALU_LATENCY
         elif op in _ALU_FUNCS:
             a = inst.a.value_of(regs)
             b = inst.b.value_of(regs)
             regs[inst.rd] = _ALU_FUNCS[op](a, b) & WORD_MASK
-            latency = lat.alu
+            latency = ALU_LATENCY
         elif op is Opcode.BEQ or op is Opcode.BNE or op is Opcode.BLT or op is Opcode.BGE:
             a = inst.a.value_of(regs)
             b = inst.b.value_of(regs)
@@ -140,10 +147,10 @@ class Core:
             )
             if taken:
                 next_pc = inst.target
-            latency = lat.alu
+            latency = ALU_LATENCY
         elif op is Opcode.JMP:
             next_pc = inst.target
-            latency = lat.alu
+            latency = ALU_LATENCY
         elif op is Opcode.ADDM:
             # Non-atomic memory-destination add: a plain load + store pair
             # at one PC (no fence semantics, unlike the locked RMWs).
@@ -151,13 +158,14 @@ class Core:
             old, lat_read = self.machine.mem_read(self, inst, addr, inst.size)
             new = (old + inst.b.value_of(regs)) & WORD_MASK
             lat_write = self.machine.mem_write(self, inst, addr, new, inst.size)
-            latency = lat_read + lat_write + lat.alu
+            latency = lat_read + lat_write + ALU_LATENCY
         elif op is Opcode.SSB_ADDM:
             addr = inst.a.value_of(regs) + inst.offset
             old, mem_latency = self.ssb.load_through(self, inst, addr, inst.size)
             new = (old + inst.b.value_of(regs)) & WORD_MASK
             self.ssb.put(addr, new, inst.size)
-            latency = lat.ssb_load + lat.ssb_store + mem_latency + lat.alu
+            latency = (SSB_LOAD_LATENCY + SSB_STORE_LATENCY + mem_latency
+                       + ALU_LATENCY)
             if self.ssb.should_preflush():
                 latency += self.ssb.flush(self.core_id)
                 self.stats.ssb_flushes += 1
@@ -166,22 +174,22 @@ class Core:
         elif op is Opcode.XADD:
             latency = self._exec_xadd(inst)
         elif op is Opcode.FENCE:
-            latency = lat.fence + self._drain_ssb_if_active()
+            latency = FENCE_LATENCY + self._drain_ssb_if_active()
             latency += self.machine.fence_extra(self)
         elif op is Opcode.PAUSE:
-            latency = lat.pause
+            latency = PAUSE_LATENCY
         elif op is Opcode.NOP:
-            latency = lat.alu
+            latency = ALU_LATENCY
         elif op is Opcode.HALT:
             # Thread exit is a synchronization point (pthread_exit).
-            latency = lat.alu + self._drain_ssb_if_active()
+            latency = ALU_LATENCY + self._drain_ssb_if_active()
             latency += self.machine.fence_extra(self)
             self.state = CoreState.HALTED
         elif op is Opcode.SSB_STORE:
             addr = inst.a.value_of(regs) + inst.offset
             value = inst.b.value_of(regs)
             self.ssb.put(addr, value, inst.size)
-            latency = lat.ssb_store
+            latency = SSB_STORE_LATENCY
             if self.ssb.should_preflush():
                 latency += self.ssb.flush(self.core_id)
                 self.stats.ssb_flushes += 1
@@ -191,13 +199,13 @@ class Core:
                 self, inst, addr, inst.size
             )
             regs[inst.rd] = value
-            latency = lat.ssb_load + mem_latency
+            latency = SSB_LOAD_LATENCY + mem_latency
         elif op is Opcode.SSB_FLUSH:
             latency = self.ssb.flush(self.core_id)
             self.stats.ssb_flushes += 1
         elif op is Opcode.ALIAS_CHECK:
             addr = inst.a.value_of(regs) + inst.offset
-            latency = lat.alias_check
+            latency = ALIAS_CHECK_LATENCY
             if self.ssb is not None and self.ssb.may_alias(addr, inst.size):
                 latency += self.ssb.flush(self.core_id)
         else:  # pragma: no cover - all opcodes handled above
@@ -217,7 +225,7 @@ class Core:
         if old == expected:
             latency += self.machine.mem_write(self, inst, addr, desired, inst.size)
         regs[inst.rd] = old
-        return latency + self.machine.latency.atomic_extra + drain
+        return latency + ATOMIC_EXTRA_LATENCY + drain
 
     def _exec_xadd(self, inst: Instruction) -> int:
         """lock xadd: rd <- old; memory <- old + src."""
@@ -230,7 +238,7 @@ class Core:
             self, inst, addr, (old + increment) & WORD_MASK, inst.size
         )
         regs[inst.rd] = old
-        return latency + self.machine.latency.atomic_extra + drain
+        return latency + ATOMIC_EXTRA_LATENCY + drain
 
     def _drain_ssb_if_active(self) -> int:
         """Fences (and fence-like atomics) must flush the SSB (Section 5.4)."""

@@ -11,6 +11,10 @@ construction; the remaining abort cause is **capacity** — a transaction
 touching more distinct cache lines than the L1 associativity allows
 aborts, exactly the overflow the paper's pre-emptive 8-entry flush
 avoids.
+
+The model keeps no clock: the caller passes the current machine cycle
+with each transaction, and the begin/commit/abort trace events carry
+it.
 """
 
 from typing import Iterable, List, Tuple
@@ -31,23 +35,20 @@ class HardwareTransactionalMemory:
     """Executes atomic write sets against memory + coherence."""
 
     def __init__(self, memory: Memory, directory: CoherenceDirectory,
-                 capacity_lines: int = L1_ASSOCIATIVITY, injector=None,
-                 tracer=None, clock=None):
+                 injector=None, tracer=None):
         self.memory = memory
         self.directory = directory
-        self.capacity_lines = capacity_lines
         #: Optional :class:`repro.faults.FaultInjector`; hosts the
         #: ``htm.abort`` site (conflict abort storms).
         self.injector = injector
-        #: Event tracer + cycle source for the begin/commit/abort
-        #: events (the machine wires its own clock in).
+        #: Event tracer for the begin/commit/abort events.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.clock = clock or (lambda: self.directory.now)
         self.commits = 0
         self.aborts = 0
 
-    def execute_atomically(self, core: int, writes: Iterable[WriteEntry]) -> int:
-        """Commit ``writes`` as one transaction; returns cycle cost.
+    def execute_atomically(self, core: int, writes: Iterable[WriteEntry],
+                           cycle: int) -> int:
+        """Commit ``writes`` as one transaction at ``cycle``; returns cost.
 
         Raises :class:`HtmAbort` on capacity overflow (or an injected
         conflict), leaving memory untouched (aborted transactions roll
@@ -62,41 +63,34 @@ class HardwareTransactionalMemory:
             last = (addr + size - 1) // CACHE_LINE_SIZE
             lines.update(range(first, last + 1))
         if traced:
-            tracer.emit("htm.begin", self.clock(), core=core,
+            tracer.emit("htm.begin", cycle, core=core,
                         writes=len(writes), lines=len(lines))
-        if len(lines) > self.capacity_lines:
+        if len(lines) > L1_ASSOCIATIVITY:
             self.aborts += 1
             if traced:
-                tracer.emit("htm.abort", self.clock(), core=core,
+                tracer.emit("htm.abort", cycle, core=core,
                             reason="capacity", lines=len(lines))
-            raise HtmAbort(
-                "capacity: %d lines > %d ways" % (len(lines), self.capacity_lines),
-                conflict_line=max(lines) if lines else None,
-                abort_count=self.aborts,
-            )
+            raise HtmAbort("capacity: %d lines > %d ways"
+                           % (len(lines), L1_ASSOCIATIVITY))
         if self.injector is not None and self.injector.fires("htm.abort"):
             self.aborts += 1
             if traced:
-                tracer.emit("htm.abort", self.clock(), core=core,
+                tracer.emit("htm.abort", cycle, core=core,
                             reason="conflict", lines=len(lines))
-            raise HtmAbort(
-                "conflict: injected remote access to the write set",
-                conflict_line=min(lines) if lines else None,
-                abort_count=self.aborts,
-            )
+            raise HtmAbort("conflict: injected remote access to the write set")
         latency = 0
         for addr, value, size in writes:
             latency += self.directory.access(core, addr, size, is_write=True)[0]
             self.memory.write(addr, value, size)
         self.commits += 1
         if traced:
-            tracer.emit("htm.commit", self.clock(), core=core,
+            tracer.emit("htm.commit", cycle, core=core,
                         writes=len(writes), lines=len(lines),
                         latency=latency)
         return latency
 
     @staticmethod
-    def split_for_capacity(writes: List[WriteEntry], capacity_lines: int) -> List[List[WriteEntry]]:
+    def split_for_capacity(writes: List[WriteEntry]) -> List[List[WriteEntry]]:
         """Partition a write set into chunks that each fit in capacity.
 
         Used by the SSB's fallback path when a flush grew beyond the HTM
@@ -113,7 +107,7 @@ class HardwareTransactionalMemory:
             first = addr // CACHE_LINE_SIZE
             last = (addr + size - 1) // CACHE_LINE_SIZE
             entry_lines = set(range(first, last + 1))
-            if current and len(current_lines | entry_lines) > capacity_lines:
+            if current and len(current_lines | entry_lines) > L1_ASSOCIATIVITY:
                 chunks.append(current)
                 current = []
                 current_lines = set()

@@ -26,7 +26,6 @@ from repro.sim.coherence import CoherenceDirectory
 from repro.sim.core import Core, CoreState
 from repro.sim.htm import HardwareTransactionalMemory
 from repro.sim.memory import Memory
-from repro.sim.timing import LatencyModel
 from repro.sim.trace import CompiledTrace
 from repro.sim.vmmap import STACK_SIZE, STACK_TOP, default_memory_map
 
@@ -77,9 +76,7 @@ class Machine:
     def __init__(
         self,
         program: Program,
-        latency: Optional[LatencyModel] = None,
         seed: int = 0,
-        heap_offset: int = 0,
         num_cores: int = NUM_CORES,
         jitter: bool = True,
         allocator: Optional[Allocator] = None,
@@ -93,19 +90,18 @@ class Machine:
                 % (program.name, program.num_threads, num_cores)
             )
         self.program = program
-        self.latency = latency or LatencyModel()
         self.rng = RngStreams(seed)
         self.memory = Memory()
         self.vmmap = default_memory_map(program.num_threads, program.code_end)
-        self.allocator = allocator or Allocator(base_offset=heap_offset)
-        self.directory = CoherenceDirectory(self.latency, num_cores=num_cores)
+        self.allocator = allocator or Allocator()
+        self.directory = CoherenceDirectory()
         #: Structured event tracer (``repro.obs.trace``); the shared
         #: NULL_TRACER when observability is off, so instrumentation
         #: sites can test ``tracer.enabled`` unconditionally.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.htm = HardwareTransactionalMemory(
             self.memory, self.directory, injector=fault_injector,
-            tracer=self.tracer, clock=lambda: self.cycle,
+            tracer=self.tracer,
         )
         self.cores: List[Core] = []
         for tid, thread in enumerate(program.threads):
@@ -254,22 +250,19 @@ class Machine:
     def _trace_for(self, core: Core) -> CompiledTrace:
         """The compiled trace matching the core's current code + tax.
 
-        Two variants per core (with / without the DBI pin tax baked into
-        the latency literals); both are invalidated by ``replace_code``
-        and additionally re-checked by identity here, so a repair attach
-        or detach mid-run can never execute a stale block.
+        A core keeps one trace.  Attach and detach swap the code and the
+        SSB together (``replace_code`` drops the trace), and the trace is
+        rebuilt here whenever its instruction list or its pin-tax flag
+        no longer matches the core, so a repair attach or detach mid-run
+        can never execute a stale block.
         """
         taxed = core.ssb is not None
-        trace = core._trace_taxed if taxed else core._trace
-        if trace is None or trace.insts is not core.instructions:
-            trace = CompiledTrace(
-                core.instructions, self.latency, taxed, self.jitter,
-                self._fast_mem_ok,
+        trace = core._trace
+        if (trace is None or trace.insts is not core.instructions
+                or trace.taxed is not taxed):
+            trace = core._trace = CompiledTrace(
+                core.instructions, taxed, self.jitter, self._fast_mem_ok,
             )
-            if taxed:
-                core._trace_taxed = trace
-            else:
-                core._trace = trace
         return trace
 
     def _run_slice_traced(self, until_cycle: Optional[int],

@@ -5,8 +5,8 @@ pays full Python dispatch per instruction: an enum compare chain,
 operand ``value_of`` calls and a dict lookup for ALU lambdas.  This
 module compiles a core's instruction stream into generated Python
 functions instead, with operands folded into literals and latencies
-charged as constants (pin-tax variants are separate traces, selected by
-whether an SSB is attached).
+charged as constants from ``repro._constants`` (a core with an SSB
+attached runs a trace with the pin tax added).
 
 **One template per opcode.**  ``_TEMPLATES`` maps each compilable
 opcode (MOV, the ALU ops, SHL/SHR, the four conditional branches, JMP,
@@ -69,6 +69,12 @@ from functools import partial
 from operator import eq, ge, lt, mul, ne
 from typing import List, NamedTuple, Optional, Tuple
 
+from repro._constants import (
+    ALU_LATENCY,
+    L1_HIT_LATENCY,
+    PAUSE_LATENCY,
+    PIN_TAX_LATENCY,
+)
 from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.sim.cache import LineState
 
@@ -94,7 +100,7 @@ BLOCK_CAP = 16
 
 #: Global (signature -> function) cache shared across traces and
 #: machines, keyed by the instruction window's content plus the
-#: latency/jitter/tax parameters, so repeated runs and identical thread
+#: jitter and pin-tax flags, so repeated runs and identical thread
 #: bodies share the compilation cost.  Cleared wholesale if it ever
 #: grows past the cap (programs are a few hundred instructions, so in
 #: practice it never does).
@@ -110,12 +116,6 @@ _JITTER = " + jit()"
 #: access, hits included; serialization stalls charged to later
 #: transitions (e.g. an SSB flush) read it.
 _STAMP = "mach.directory.now = t"
-
-
-class _Latency(NamedTuple):
-    alu: int
-    l1: int
-    pause: int
 
 
 class _Template(NamedTuple):
@@ -260,17 +260,17 @@ def _template(inst: Instruction) -> _Template:
     return _TEMPLATES[inst.op][0](inst)
 
 
-def _latency(op: Opcode, lat: _Latency) -> int:
+def _latency(op: Opcode) -> int:
     """Cycles of one compiled instruction, pin tax excluded.
 
     Compiled memory ops are L1 hits, so the opcode alone decides.
     """
     if op is Opcode.LOAD or op is Opcode.STORE:
-        return lat.l1
+        return L1_HIT_LATENCY
     if op is Opcode.ADDM:
         # The read and the write of the RMW, plus its add.
-        return 2 * lat.l1 + lat.alu
-    return lat.pause if op is Opcode.PAUSE else lat.alu
+        return 2 * L1_HIT_LATENCY + ALU_LATENCY
+    return PAUSE_LATENCY if op is Opcode.PAUSE else ALU_LATENCY
 
 
 def _includable(inst: Instruction, fast_mem: bool) -> bool:
@@ -503,17 +503,17 @@ class CompiledTrace:
     ``None`` when the stream has no spin-wait).
     """
 
-    __slots__ = ("insts", "table", "micro", "leaders", "counts", "spins",
-                 "_after", "_weights", "_lat", "_tax", "_use_jitter",
-                 "_fast_mem")
+    __slots__ = ("insts", "taxed", "table", "micro", "leaders", "counts",
+                 "spins", "_after", "_weights", "_use_jitter", "_fast_mem")
 
-    def __init__(self, insts: List[Instruction], latency, taxed: bool,
+    def __init__(self, insts: List[Instruction], taxed: bool,
                  use_jitter: bool, fast_mem: bool):
         self.insts = insts
+        #: Whether every instruction pays the DBI pin tax (an SSB is
+        #: attached to the core).
+        self.taxed = taxed
         n = len(insts)
-        lat = self._lat = _Latency(latency.alu, latency.l1_hit,
-                                   latency.pause)
-        tax = self._tax = latency.pin_tax if taxed else 0
+        tax = PIN_TAX_LATENCY if taxed else 0
         self._use_jitter = use_jitter
         self._fast_mem = fast_mem
         # Basic-block leaders: the only entries worth a block function.
@@ -535,7 +535,7 @@ class CompiledTrace:
                 if isinstance(inst.target, int) and 0 <= inst.target < n:
                     flags[inst.target] = 1
             if _includable(inst, fast_mem):
-                weights[i] = _latency(inst.op, lat) + tax
+                weights[i] = _latency(inst.op) + tax
             elif i + 1 < n:
                 # Resume point after an interpreter-executed slow op.
                 flags[i + 1] = 1
@@ -579,7 +579,7 @@ class CompiledTrace:
         window = _scan_window(insts, entry, self._fast_mem)
         fn = None
         if window:
-            key = (entry, self._tax, self._use_jitter, self._lat,
+            key = (entry, self.taxed, self._use_jitter,
                    tuple(_inst_sig(insts[i]) for i in window))
             fn = _compile(key, "<trace-block>", _render_block, insts,
                           entry, window, self._weights, self._use_jitter)
@@ -600,8 +600,7 @@ class CompiledTrace:
         if inst.op is Opcode.HALT:
             fn = _to_pop
         elif _includable(inst, self._fast_mem):
-            key = ("m", i, self._tax, self._use_jitter, self._lat,
-                   _inst_sig(inst))
+            key = ("m", i, self.taxed, self._use_jitter, _inst_sig(inst))
             fn = _compile(key, "<trace-micro>", _render_micro, inst, i,
                           self._weights[i], self._use_jitter)
         else:

@@ -19,6 +19,7 @@ __all__ = [
     "LIB_CODE_BASE",
     "GLOBALS_BASE",
     "HEAP_BASE",
+    "HEAP_SIZE",
     "STACK_TOP",
     "STACK_SIZE",
     "KERNEL_BASE",
@@ -39,6 +40,7 @@ APP_CODE_BASE = 0x0000_0000_0040_0000
 LIB_CODE_BASE = 0x0000_7F00_0000_0000
 GLOBALS_BASE = 0x0000_0000_0060_0000
 HEAP_BASE = 0x0000_0000_1000_0000
+HEAP_SIZE = 0x0100_0000  # 16 MiB
 STACK_TOP = 0x0000_7FFF_FF00_0000
 STACK_SIZE = 0x0010_0000  # 1 MiB per thread
 KERNEL_BASE = 0xFFFF_8000_0000_0000
@@ -114,23 +116,19 @@ class VirtualMemoryMap:
 MIN_APP_TEXT_SPAN = 0x0002_0000
 
 
-def default_memory_map(
-    num_threads: int,
-    app_code_end: int,
-    heap_size: int = 0x0100_0000,
-    globals_size: int = 0x0010_0000,
-    lib_code_size: int = 0x0010_0000,
-) -> VirtualMemoryMap:
+def default_memory_map(num_threads: int,
+                       app_code_end: int) -> VirtualMemoryMap:
     """Build the standard simulated process layout.
 
-    Each thread gets a dedicated 1 MiB stack below ``STACK_TOP``.
+    Library code and globals span 1 MiB each, and each thread gets a
+    dedicated 1 MiB stack below ``STACK_TOP``.
     """
     vmmap = VirtualMemoryMap()
     app_end = max(app_code_end, APP_CODE_BASE + MIN_APP_TEXT_SPAN)
     vmmap.add_region(Region("app", APP_CODE_BASE, app_end, RegionKind.APP_CODE))
-    vmmap.add_region(Region("libc", LIB_CODE_BASE, LIB_CODE_BASE + lib_code_size, RegionKind.LIB_CODE))
-    vmmap.add_region(Region("globals", GLOBALS_BASE, GLOBALS_BASE + globals_size, RegionKind.GLOBALS))
-    vmmap.add_region(Region("heap", HEAP_BASE, HEAP_BASE + heap_size, RegionKind.HEAP))
+    vmmap.add_region(Region("libc", LIB_CODE_BASE, LIB_CODE_BASE + 0x0010_0000, RegionKind.LIB_CODE))
+    vmmap.add_region(Region("globals", GLOBALS_BASE, GLOBALS_BASE + 0x0010_0000, RegionKind.GLOBALS))
+    vmmap.add_region(Region("heap", HEAP_BASE, HEAP_BASE + HEAP_SIZE, RegionKind.HEAP))
     vmmap.add_region(Region("kernel", KERNEL_BASE, KERNEL_BASE + 0x1000_0000, RegionKind.KERNEL))
     for tid in range(num_threads):
         top = STACK_TOP - tid * 2 * STACK_SIZE

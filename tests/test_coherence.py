@@ -3,13 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._constants import (
+    HITM_LATENCY,
+    L1_HIT_LATENCY,
+    MEMORY_LATENCY,
+    UPGRADE_LATENCY,
+)
 from repro.sim.cache import LineState
 from repro.sim.coherence import CoherenceDirectory
-from repro.sim.timing import LatencyModel
 
 
 def make_directory():
-    return CoherenceDirectory(LatencyModel())
+    return CoherenceDirectory()
 
 
 class TestStateTransitions:
@@ -17,7 +22,7 @@ class TestStateTransitions:
         d = make_directory()
         latency, hitm = d.access(0, 0x100, 8, is_write=False)
         assert not hitm
-        assert latency == d.latency.memory
+        assert latency == MEMORY_LATENCY
         assert d.state_of(0, 0x100) is LineState.EXCLUSIVE
 
     def test_cold_write_fills_modified(self):
@@ -29,7 +34,7 @@ class TestStateTransitions:
         d = make_directory()
         d.access(0, 0x100, 8, is_write=False)
         latency, _ = d.access(0, 0x100, 8, is_write=True)
-        assert latency == d.latency.l1_hit
+        assert latency == L1_HIT_LATENCY
         assert d.state_of(0, 0x100) is LineState.MODIFIED
 
     def test_read_of_remote_modified_is_a_hitm(self):
@@ -59,7 +64,7 @@ class TestStateTransitions:
         d.now = 2000
         latency, hitm = d.access(0, 0x100, 8, is_write=True)
         assert not hitm
-        assert latency == d.latency.upgrade
+        assert latency == UPGRADE_LATENCY
         assert d.state_of(1, 0x100) is LineState.INVALID
 
     def test_read_read_sharing_is_free_of_contention(self):
@@ -87,7 +92,7 @@ class TestStateTransitions:
         d = make_directory()
         latency, _ = d.access(0, 0x13C, 8, is_write=True)  # crosses 0x140
         # Two cold fills, one per line.
-        assert latency == 2 * d.latency.memory
+        assert latency == 2 * MEMORY_LATENCY
         assert d.state_of(0, 0x13C) is LineState.MODIFIED
         assert d.state_of(0, 0x140) is LineState.MODIFIED
 
@@ -100,7 +105,7 @@ class TestSerialization:
         first, _ = d.access(1, 0x100, 8, is_write=True)
         # Still at cycle 0: the second transition must wait for the first.
         second, _ = d.access(2, 0x100, 8, is_write=True)
-        assert second == first + d.latency.hitm
+        assert second == first + HITM_LATENCY
 
     def test_l1_hits_never_serialize(self):
         d = make_directory()
@@ -108,7 +113,7 @@ class TestSerialization:
         d.now = 0
         for _ in range(3):
             latency, _ = d.access(0, 0x100, 8, is_write=True)
-            assert latency == d.latency.l1_hit
+            assert latency == L1_HIT_LATENCY
 
 
 class TestInvariants:

@@ -230,16 +230,20 @@ class TestBoundedOutbox:
 # ----------------------------------------------------------------------
 
 class TestStructuredErrors:
-    def test_htm_abort_fields(self):
-        abort = HtmAbort("capacity: 9 lines > 8 ways",
-                         abort_pc=0x4000, conflict_line=17, abort_count=3)
-        assert abort.is_capacity and not abort.is_conflict
-        assert abort.abort_pc == 0x4000
-        assert abort.conflict_line == 17
-        assert abort.abort_count == 3
-        conflict = HtmAbort("conflict: remote store hit the write set")
-        assert conflict.is_conflict and not conflict.is_capacity
-        assert conflict.abort_pc is None and conflict.conflict_line is None
+    def test_htm_abort_reason_names_its_cause(self):
+        """The HTM's aborts carry their cause in ``reason`` alone."""
+        plan = FaultPlan().add("htm.abort", at=(0,))
+        machine = Machine(make_counter_program(num_threads=1),
+                          fault_injector=FaultInjector(plan))
+        nine_lines = [(0x10000000 + 64 * i, 1, 8) for i in range(9)]
+        with pytest.raises(HtmAbort) as capacity:
+            machine.htm.execute_atomically(0, nine_lines, 0)
+        assert capacity.value.reason.startswith("capacity")
+        # The capacity check aborts before the injected site is asked,
+        # so the site's first occurrence is this one-line transaction.
+        with pytest.raises(HtmAbort) as conflict:
+            machine.htm.execute_atomically(0, nine_lines[:1], 0)
+        assert conflict.value.reason.startswith("conflict")
 
     def test_htm_abort_reason_stays_first_positional(self):
         assert HtmAbort("capacity: x").reason.startswith("capacity")
@@ -401,7 +405,7 @@ class TestWatchdogRollback:
             assert ([i.op for i in machine.cores[tid].instructions]
                     == [i.op for i in thread.instructions])
         # The detached buffers kept their stats for health accounting.
-        assert len(result.repair_plan.detached_buffers) == 2
+        assert len(result.resilience.detached_buffers) == 2
 
     def test_negative_control_disabled_rollback_stays_attached_and_slower(self):
         config = SHIFT_CONFIG.replace(rollback_enabled=False)
@@ -446,7 +450,7 @@ class TestDetachEquivalence:
         repairer.attach(machine, plan)
         machine.run(until_cycle=machine.cycle + 2000)  # mid-loop
         assert machine.cores[0].state is not CoreState.HALTED
-        repairer.detach(machine, plan)
+        buffers = repairer.detach(machine, plan)
         assert machine.cores[0].ssb is None
         assert ([i.op for i in machine.cores[0].instructions]
                 == [i.op for i in program.threads[0].instructions])
@@ -456,7 +460,7 @@ class TestDetachEquivalence:
         assert (machine.memory.read(counter_addr, 8)
                 == ref_machine.memory.read(counter_addr, 8)
                 == iters)
-        assert plan.detached_buffers and repairer.plans_detached == 1
+        assert buffers and repairer.plans_detached == 1
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._constants import SSB_FLUSH_BASE_LATENCY
 from repro.errors import HtmAbort
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
@@ -21,7 +22,7 @@ class TestHtm:
     def test_commit_applies_all_writes(self):
         machine = make_machine()
         writes = [(0x10000000 + 8 * i, i + 1, 8) for i in range(4)]
-        machine.htm.execute_atomically(0, writes)
+        machine.htm.execute_atomically(0, writes, 0)
         for addr, value, size in writes:
             assert machine.memory.read(addr, size) == value
         assert machine.htm.commits == 1
@@ -30,7 +31,7 @@ class TestHtm:
         machine = make_machine()
         writes = [(0x10000000 + 64 * i, 7, 8) for i in range(9)]  # 9 lines
         with pytest.raises(HtmAbort):
-            machine.htm.execute_atomically(0, writes)
+            machine.htm.execute_atomically(0, writes, 0)
         assert machine.htm.aborts == 1
         for addr, _v, _s in writes:
             assert machine.memory.read(addr, 8) == 0
@@ -40,12 +41,12 @@ class TestHtm:
         writes = [(0x10000000 + 128 * i + 60, 7, 8) for i in range(5)]
         with pytest.raises(HtmAbort):
             # 5 straddlers over disjoint line pairs -> 10 lines > 8 ways.
-            machine.htm.execute_atomically(0, writes)
+            machine.htm.execute_atomically(0, writes, 0)
 
     def test_split_for_capacity_preserves_order(self):
         writes = [(0x1000 + 64 * i, i, 8) for i in range(20)]
         chunks = machine_chunks = (
-            make_machine().htm.split_for_capacity(writes, 8)
+            make_machine().htm.split_for_capacity(writes)
         )
         flattened = [w for chunk in chunks for w in chunk]
         assert flattened == writes
@@ -123,10 +124,10 @@ class TestSsbBasics:
         assert ssb.stats.htm_aborts == 0
 
     def test_flush_clears_and_returns_latency(self):
-        machine, ssb = self._ssb()
+        _m, ssb = self._ssb()
         ssb.put(0x10000000, 5, 8)
         latency = ssb.flush(0)
-        assert latency >= machine.latency.ssb_flush_base
+        assert latency >= SSB_FLUSH_BASE_LATENCY
         assert ssb.empty()
         assert ssb.flush(0) == 0  # empty flush is free
 

@@ -303,7 +303,7 @@ class TestCheckpointStore:
         assert store.restored == 1
 
     def test_keeps_two_generations(self):
-        store = CheckpointStore(keep=2)
+        store = CheckpointStore()
         for value in range(5):
             store.save({"value": value}, cycle=value * 10)
         assert len(store.snapshots) == 2
@@ -562,6 +562,11 @@ class TestCrashRecovery:
         assert health.detector_crashes == 1
         assert health.checkpoints_restored == 1
         assert health.checkpoints_written > 0
+        # The crash lands after the repair attached: the restored
+        # detector holds the live attached plan, its code included.
+        assert result.repaired
+        assert result.repair_plan is result.resilience.attached
+        assert result.repair_plan.new_codes
 
     def test_post_read_crash_dedups_the_redelivery(self):
         # The batch was read but the crash hit before the ack: replay

@@ -1,7 +1,5 @@
 """Tests for RNG streams and the error hierarchy."""
 
-import pytest
-
 from repro import errors
 from repro.rng import RngStreams, derive_seed
 
@@ -43,7 +41,7 @@ class TestErrorHierarchy:
     def test_all_errors_are_repro_errors(self):
         for name in ("AssemblyError", "SimulationError", "AllocationError",
                      "RepairError", "WorkloadError", "SheriffCrash",
-                     "SheriffIncompatible", "DeadlockError"):
+                     "SheriffIncompatible"):
             assert issubclass(getattr(errors, name), errors.ReproError)
 
     def test_htm_abort_carries_reason(self):

@@ -127,7 +127,7 @@ def _fake_context(config=None, slices=2):
         pmu=SimpleNamespace(total_hitm_count=0),
         pipeline=SimpleNamespace(report=lambda cycles, threshold: "report"),
         repairer=None,
-        runtime=None,
+        runtime=SimpleNamespace(attached=None),
         st=DetectorState(),
     )
     return ctx
@@ -250,7 +250,7 @@ def _service_context():
     ctx.pipeline = _FakePipeline()
     ctx.runtime = SimpleNamespace(
         journal=SimpleNamespace(acked_seq=17),
-        attached_state=None,
+        attached=None,
         rolled_back=False,
     )
     resilience = ResilienceService()
@@ -297,10 +297,8 @@ class TestCheckpointRoundTrip:
         assert ctx.st.attach_rate == 123.5
         assert ctx.pipeline.state == {"lines": 3}
         # Repair reconciliation against the runtime authority: nothing
-        # attached, nothing rolled back.
-        assert ctx.st.plan is None
-        assert ctx.st.repaired is False
-        assert ctx.st.rolled_back is False
+        # attached.
+        assert ctx.st.plan is ctx.runtime.attached is None
 
     def test_cold_start_restore_resets_every_service(self):
         ctx = _service_context()
@@ -312,10 +310,10 @@ class TestCheckpointRoundTrip:
     def test_rolled_back_authority_survives_restore(self):
         ctx = _service_context()
         ctx.runtime.rolled_back = True
-        ctx.st.repaired = True  # stale in-memory claim
+        ctx.st.plan = object()  # stale in-memory claim
         ctx.scheduler.restore_state(ctx, None)
-        assert ctx.st.repaired is False
-        assert ctx.st.rolled_back is True
+        assert ctx.st.plan is ctx.runtime.attached is None
+        assert ctx.runtime.rolled_back is True
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +424,15 @@ def _double(x):
     return x * 2
 
 
+def _die_in_worker(x):
+    """Kill the pool worker that runs it; double ``x`` in the parent."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return 2 * x
+
+
 class TestSweepRunner:
     def test_serial_map_preserves_order(self):
         runner = SweepRunner(workers=1)
@@ -459,6 +466,23 @@ class TestSweepRunner:
                             unavailable)
         runner = SweepRunner(workers=2)
         assert runner.map(_double, range(4)) == [0, 2, 4, 6]
+        assert runner.used_workers == 1
+
+    def test_a_dead_worker_falls_back_to_serial(self, monkeypatch):
+        """A worker that dies breaks the pool: the map reruns serially,
+        and later maps run serially without probing a pool again."""
+        import concurrent.futures
+
+        runner = SweepRunner(workers=2)
+        assert runner.map(_die_in_worker, range(4)) == [0, 2, 4, 6]
+        assert runner.used_workers == 1
+
+        def probed(*args, **kwargs):
+            raise AssertionError("the pool was probed again")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            probed)
+        assert runner.map(_die_in_worker, range(3)) == [0, 2, 4]
         assert runner.used_workers == 1
 
     def test_map_records_per_cell_cost(self):
